@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from typing import BinaryIO
 
 import numpy as np
@@ -21,6 +23,18 @@ def expect_magic(f: BinaryIO, magic: bytes, path) -> None:
     got = f.read(len(magic))
     if got != magic:
         raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+
+
+def check_fits(f: BinaryIO, count: int, item_bytes: int, path) -> None:
+    """Raise DataError unless ``count`` items of at least ``item_bytes`` bytes
+    each fit in the rest of the file, and one item fits in an array. Loaders
+    call this with the sizes a header declares, before allocating them."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count * item_bytes > left or item_bytes > sys.maxsize:
+        raise DataError(
+            f"{path}: header declares {count} x {item_bytes} bytes, "
+            f"but only {left} bytes follow"
+        )
 
 
 def write_u32(f: BinaryIO, value: int) -> None:

@@ -253,6 +253,8 @@ class FeatureCache:
             time_bins = binio.read_u32(f)
             count = binio.read_u64(f)
             dim = freq_bins * time_bins
+            # per row: two string length prefixes and dim float32 values
+            binio.check_fits(f, count, 8 + 4 * dim, path)
             ids: list[str] = []
             labels: list[str] = []
             matrix = np.empty((count, dim), dtype=np.float32)

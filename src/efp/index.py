@@ -104,6 +104,7 @@ class EmbeddingIndex:
             dim = binio.read_u32(f)
             count = binio.read_u64(f)
             fingerprint = binio.read_exact(f, FINGERPRINT_BYTES)
+            binio.check_fits(f, count, 8 + 4 * dim, path)
             ids: list[str] = []
             labels: list[str] = []
             matrix = np.empty((count, dim), dtype=np.float32)
@@ -122,7 +123,8 @@ def build_index(
     """Embed the given clips (default: whole cache) in input order."""
     if clip_ids is None:
         clip_ids = list(cache.clip_ids)
-    rows = np.asarray([cache.vector(cid) for cid in clip_ids], dtype=np.float64)
+    # float32 as cached; the model widens them while normalizing
+    rows = np.asarray([cache.vector(cid) for cid in clip_ids], dtype=np.float32)
     if len(rows) == 0:
         raise DataError("cannot build an index from zero clips")
     embeddings = model.embed(rows).astype(np.float32)

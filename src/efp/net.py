@@ -10,6 +10,14 @@ Both branches of the twin share one parameter set, so every pair gradient is
 the sum of the contributions backpropagated through each branch. All training
 math runs in float64; models are persisted (and therefore quantized) at
 float32.
+
+The training step allocates no parameter-sized array: ``train`` reuses one
+``GradBuffers`` for every batch (the first branch's weight gradients are
+written into it, the second's added through one scratch), and
+``AdamOptimizer.step`` updates each array in place, ``ADAM_BLOCK`` values at a
+time. Every value is still computed by the same operations in the same order
+as the plain formulas with fresh temporaries, so the results are bit-identical
+to them.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ MODEL_MAGIC = b"EFPM"
 MODEL_VERSION = 2
 
 _F32_MAX = float(np.finfo(np.float32).max)
+
+# Adam walks each array in blocks of this many float64 values (256 KB), so the
+# six block slices one update touches (parameter, gradient, two moments, two
+# scratch) stay in a 2 MB L2 cache between its passes.
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -191,21 +204,26 @@ def contrastive_loss(y: int, d: float, cfg: LossConfig = LossConfig()) -> float:
     return 0.5 * hinge * hinge
 
 
-def _zero_grads(params: MlpParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    return (
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+class GradBuffers:
+    """Gradient arrays shaped like the parameters, reusable across batches,
+    plus one scratch as large as the largest weight for the second branch's
+    weight GEMM."""
+
+    def __init__(self, params: MlpParams):
+        self.dws = [np.empty_like(w) for w in params.weights]
+        self.dbs = [np.empty_like(b) for b in params.biases]
+        self.scratch = np.empty(max(w.size for w in params.weights))
 
 
 def _backprop_into(
     params: MlpParams,
     cache: ForwardCache,
     grad_out: np.ndarray,
-    dws: list[np.ndarray],
-    dbs: list[np.ndarray],
+    grads: GradBuffers,
+    add: bool,
 ) -> None:
-    """Accumulate d(loss)/d(params) for one branch given d(loss)/d(embedding).
+    """Write (add=False) or add (add=True) d(loss)/d(params) for one branch,
+    given d(loss)/d(embedding), into grads.
 
     Through the normalization e = u/|u| the gradient is (g - e(e.g)) / |u|;
     a zero raw row (embedded as the zero vector) passes no gradient.
@@ -215,8 +233,14 @@ def _backprop_into(
     norms = np.where(cache.norms > 0.0, cache.norms, np.inf)
     delta = (grad_out - e * radial) / norms[:, np.newaxis]
     for l in range(params.n_layers - 1, -1, -1):
-        dws[l] += delta.T @ cache.inputs[l]
-        dbs[l] += delta.sum(axis=0)
+        dw, db = grads.dws[l], grads.dbs[l]
+        if add:
+            dw += np.matmul(delta.T, cache.inputs[l],
+                            out=grads.scratch[: dw.size].reshape(dw.shape))
+            db += delta.sum(axis=0)
+        else:
+            np.matmul(delta.T, cache.inputs[l], out=dw)
+            np.sum(delta, axis=0, out=db)
         if l > 0:
             delta = (delta @ params.weights[l]) * cache.masks[l - 1] * cache.gates[l - 1]
 
@@ -229,12 +253,16 @@ def batch_loss_and_grads(
     loss_cfg: LossConfig,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    grads: GradBuffers | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean contrastive loss over a batch of pairs plus its exact gradient.
 
     Subgradient conventions: at the hinge (d == margin, y=0) and at d == 0
     (y=0) the contribution is zero. Gradients flow through both branches and
     are summed, since the branches share every parameter.
+
+    The gradients are written over whatever ``grads`` holds and returned as
+    its ``dws``/``dbs``; without ``grads`` they are fresh arrays.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -252,10 +280,11 @@ def batch_loss_and_grads(
         neg_coef = np.where(d > 0.0, -hinge / d, 0.0)
     coef = np.where(y == 1.0, 1.0, neg_coef) / len(d)
     grad_e1 = coef[:, np.newaxis] * diff
-    dws, dbs = _zero_grads(params)
-    _backprop_into(params, cache1, grad_e1, dws, dbs)
-    _backprop_into(params, cache2, -grad_e1, dws, dbs)
-    return loss, dws, dbs
+    if grads is None:
+        grads = GradBuffers(params)
+    _backprop_into(params, cache1, grad_e1, grads, add=False)
+    _backprop_into(params, cache2, -grad_e1, grads, add=True)
+    return loss, grads.dws, grads.dbs
 
 
 def pair_loss_and_grads(
@@ -342,6 +371,13 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
+    """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments.
+
+    The parameters must be C-contiguous arrays, as ``init_params`` and
+    ``MlpParams.copy`` make them: ``step`` updates them in place through
+    flat views.
+    """
+
     def __init__(
         self,
         params: MlpParams,
@@ -350,16 +386,19 @@ class AdamOptimizer:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        if not all(a.flags.c_contiguous for a in params.weights + params.biases):
+            raise ValueError("Adam needs C-contiguous parameter arrays")
         self.params = params
         self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.m_w = [np.zeros(w.shape) for w in params.weights]
+        self.v_w = [np.zeros(w.shape) for w in params.weights]
+        self.m_b = [np.zeros(b.shape) for b in params.biases]
+        self.v_b = [np.zeros(b.shape) for b in params.biases]
+        self._scratch = np.empty((2, ADAM_BLOCK))
 
     def step(self, dws: list[np.ndarray], dbs: list[np.ndarray]) -> None:
         self.t += 1
@@ -370,11 +409,27 @@ class AdamOptimizer:
                 (self.params.weights[l], dws[l], self.m_w[l], self.v_w[l]),
                 (self.params.biases[l], dbs[l], self.m_b[l], self.v_b[l]),
             ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(g)
-                target -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                p, g, m, v = (a.reshape(-1) for a in (target, g, m, v))
+                for start in range(0, p.size, ADAM_BLOCK):
+                    block = slice(start, start + ADAM_BLOCK)
+                    self._update(p[block], g[block], m[block], v[block], c1, c2)
+
+    def _update(self, p, g, m, v, c1: float, c2: float) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time."""
+        s1, s2 = self._scratch[0, : p.size], self._scratch[1, : p.size]
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=s1)
+        v *= self.beta2
+        np.square(g, out=s1)
+        v += np.multiply(1.0 - self.beta2, s1, out=s1)
+        np.divide(m, c1, out=s1)
+        np.multiply(self.lr, s1, out=s1)
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        p -= s1
 
 
 def make_optimizer(name: str, params: MlpParams, learning_rate: float):
@@ -422,12 +477,15 @@ class SiameseModel:
         return self.params.layer_dims[0]
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.feature_means) / self.feature_stds
+        """(X - means) / stds in float64; X may be float32 rows, which are
+        widened exactly, so the result does not depend on the input dtype."""
+        Z = np.subtract(X, self.feature_means, dtype=np.float64)
+        Z /= self.feature_stds
+        return Z
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         """Eval-mode embeddings for raw (unnormalized) feature rows."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
         single = X.ndim == 1
         E = forward_eval(self.params, self.normalize(np.atleast_2d(X)))
         return E[0] if single else E
@@ -471,6 +529,9 @@ class SiameseModel:
                 raise DataError(f"{path}: implausible layer count {n_dims}")
             dims = [binio.read_u32(f) for _ in range(n_dims)]
             margin = binio.read_f64(f)
+            # stats, then each layer's weights and biases, all float32
+            n_values = 2 * dims[0] + sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+            binio.check_fits(f, n_values, 4, path)
             means = binio.read_f32_array(f, dims[0]).astype(np.float64)
             stds = binio.read_f32_array(f, dims[0]).astype(np.float64)
             weights, biases = [], []
@@ -544,6 +605,7 @@ def train(
 
     params = init_params(train_cfg.seed, layer_dims)
     optimizer = make_optimizer(train_cfg.optimizer, params, train_cfg.learning_rate)
+    grads = GradBuffers(params)
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
@@ -563,6 +625,7 @@ def train(
                 loss_cfg,
                 train_cfg.dropout_rate,
                 dropout_rng,
+                grads,
             )
             if not np.isfinite(loss):
                 raise NumericError(
@@ -573,7 +636,9 @@ def train(
         train_loss = loss_sum / n
         # the embeddings are bounded, so a diverging run can keep a finite
         # loss while its parameters run past what a model file can hold
-        if not all(np.all(np.abs(a) <= _F32_MAX) for a in params.weights + params.biases):
+        # (NaN fails both comparisons; min and max allocate nothing)
+        if not all(-_F32_MAX <= a.min() and a.max() <= _F32_MAX
+                   for a in params.weights + params.biases):
             raise NumericError(
                 f"parameters non-finite or beyond float32 range at epoch {epoch}"
             )
@@ -588,8 +653,12 @@ def train(
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params.copy()
+            for kept, now in zip(best_params.weights + best_params.biases,
+                                 params.weights + params.biases):
+                np.copyto(kept, now)
             best_epoch = epoch
+    # free the training state before the model makes its own float32-rounded copy
+    del params, optimizer, grads, dws, dbs
     model = SiameseModel(
         params=best_params,
         margin=loss_cfg.margin,

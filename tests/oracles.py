@@ -6,6 +6,8 @@ loops, no shared code with the package) so that agreement is meaningful.
 
 import math
 
+import numpy as np
+
 
 def ap_oracle(bits, m_j):
     """Average precision: mean over positive positions of precision-so-far."""
@@ -127,6 +129,20 @@ def fd_gradients_oracle(weights, biases, x1, x2, y, margin, eps=1e-5):
         dws.append(dw)
         dbs.append(db)
     return dws, dbs
+
+
+def adam_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step (Kingma & Ba, arXiv 1412.6980) over parallel lists of
+    arrays, as whole-array expressions that make fresh temporaries; updates
+    targets, ms and vs in place."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for target, g, m, v in zip(targets, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        target -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def frame_count_oracle(n_samples, win, hop):

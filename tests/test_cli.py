@@ -230,6 +230,27 @@ def test_data_errors_exit_2(pipeline, tmp_path):
         assert cli.main(argv) == cli.EXIT_DATA, argv
 
 
+def test_oversized_header_counts_exit_2(pipeline, tmp_path, capsys):
+    cache = pipeline["cache"].read_bytes()
+    big_count = tmp_path / "count.bin"
+    big_count.write_bytes(cache[:16] + (2**40).to_bytes(8, "little") + cache[24:])
+    big_bins = tmp_path / "bins.bin"
+    big_bins.write_bytes(cache[:8] + (2**20).to_bytes(4, "little") * 2 + cache[16:])
+    index = pipeline["index"].read_bytes()
+    bad_index = tmp_path / "index.bin"
+    bad_index.write_bytes(index[:12] + (2**40).to_bytes(8, "little") + index[20:])
+    capsys.readouterr()
+    for bad_cache in (big_count, big_bins):
+        rc = cli.main(["train", "--manifest", str(pipeline["split"]), "--cache", str(bad_cache),
+                       "--epochs", "1", "--out", str(tmp_path / "m.bin")])
+        assert rc == cli.EXIT_DATA
+    rc = cli.main(["evaluate", "--index", str(bad_index), "--out-dir", str(tmp_path / "r")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("header declares") == 3
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_blowup_exits_3(pipeline, tmp_path):
     rc = cli.main([

@@ -197,6 +197,18 @@ def test_cache_rejects_bad_magic_and_truncation(tmp_path):
     cut.write_bytes(data[:-10])
     with pytest.raises(DataError):
         FeatureCache.load(cut)
+    # sizes the header declares are checked against the file before allocating:
+    # u64 count @16, then u32 freq_bins @8 and time_bins @12
+    oversized = [data[:16] + (2**40).to_bytes(8, "little") + data[24:]]
+    for bins in (2**16, 2**32 - 1):
+        oversized.append(data[:8] + bins.to_bytes(4, "little") * 2 + data[16:])
+    for i, contents in enumerate(oversized):
+        (tmp_path / f"big{i}.efpf").write_bytes(contents)
+        with pytest.raises(DataError, match="header declares"):
+            FeatureCache.load(tmp_path / f"big{i}.efpf")
+    empty = tmp_path / "empty.efpf"
+    FeatureCache(2, 3, [], [], np.zeros((0, 6), dtype=np.float32)).save(empty)
+    assert len(FeatureCache.load(empty)) == 0
 
 
 def test_cache_rejects_duplicate_ids():

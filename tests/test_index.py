@@ -260,6 +260,11 @@ def test_index_round_trip_and_corruption(tmp_path):
     (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:30])
     with pytest.raises(DataError):
         EmbeddingIndex.load(tmp_path / "cut.bin")
+    # a u64 count @12 far beyond the rows in the file
+    data = path.read_bytes()
+    (tmp_path / "big.bin").write_bytes(data[:12] + (2**40).to_bytes(8, "little") + data[20:])
+    with pytest.raises(DataError, match="header declares"):
+        EmbeddingIndex.load(tmp_path / "big.bin")
     with pytest.raises(DataError):
         EmbeddingIndex.load(tmp_path / "absent.bin")
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from efp import net
 from efp.errors import DataError, NumericError
 from efp.features import FeatureCache
 from efp.net import (
+    ADAM_BLOCK,
     AdamOptimizer,
+    GradBuffers,
     LossConfig,
     MlpParams,
     SgdOptimizer,
@@ -26,6 +29,7 @@ from efp.net import (
 from efp.pairs import PairExample
 
 from oracles import (
+    adam_step_oracle,
     contrastive_oracle,
     fd_gradients_oracle,
     mlp_forward_oracle,
@@ -268,6 +272,33 @@ def test_adam_step_formula():
         make_optimizer("rmsprop", params, 0.1)
 
 
+def test_blocked_adam_equals_whole_array_oracle():
+    rng = np.random.default_rng(30)
+    # the weight spans three blocks, the last one partial; the bias is one short block
+    w = rng.standard_normal((7, (2 * ADAM_BLOCK) // 7 + 5))
+    assert w.size > 2 * ADAM_BLOCK and w.size % ADAM_BLOCK
+    b = rng.standard_normal(7)
+    params = MlpParams(weights=[w], biases=[b])
+    opt = AdamOptimizer(params, learning_rate=0.01)
+    want = [w.copy(), b.copy()]
+    ms = [np.zeros_like(w), np.zeros_like(b)]
+    vs = [np.zeros_like(w), np.zeros_like(b)]
+    for t in range(1, 5):
+        gw = rng.standard_normal(w.shape) * 10.0 ** rng.integers(-9, 3, size=w.shape)
+        gb = rng.standard_normal(b.shape)
+        opt.step([gw], [gb])
+        adam_step_oracle(want, [gw, gb], ms, vs, t, 0.01)
+        assert all(np.array_equal(g, x) for g, x in zip([w, b], want))
+        assert all(np.array_equal(g, x) for g, x in zip(opt.m_w + opt.m_b, ms))
+        assert all(np.array_equal(g, x) for g, x in zip(opt.v_w + opt.v_b, vs))
+
+
+def test_adam_rejects_non_contiguous_parameters():
+    params = MlpParams(weights=[np.ones((3, 4)).T], biases=[np.zeros(4)])
+    with pytest.raises(ValueError):
+        AdamOptimizer(params, learning_rate=0.01)
+
+
 def cluster_cache(seed=20, n_per_class=6, dim=10):
     """Two well-separated Gaussian blobs as fake clip features."""
     rng = np.random.default_rng(seed)
@@ -397,6 +428,11 @@ def test_model_load_rejects_corruption(tmp_path):
     v1.write_bytes(good[:4] + (1).to_bytes(4, "little") + good[8:])
     with pytest.raises(DataError):
         SiameseModel.load(v1)
+    # an input dim @12 whose arrays could not fit in the file
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(good[:12] + (2**32 - 1).to_bytes(4, "little") + good[16:])
+    with pytest.raises(DataError, match="header declares"):
+        SiameseModel.load(huge)
 
 
 def test_model_validates_stats():
@@ -443,3 +479,51 @@ def test_pair_loss_agrees_with_oracle():
         got, _, _ = pair_loss_and_grads(params, x1, x2, y, LossConfig())
         want = pair_loss_oracle(weights, biases, x1.tolist(), x2.tolist(), y, 1.0)
         assert abs(got - want) <= 1e-12
+
+
+def test_grad_buffers_are_overwritten_and_fresh_grads_are_not_shared():
+    rng = np.random.default_rng(24)
+    params = tiny_params(24)
+    X1 = rng.standard_normal((5, TINY[0]))
+    X2 = rng.standard_normal((5, TINY[0]))
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    args = (params, X1, X2, y, LossConfig(margin=2.0), 0.3)
+    loss, dws, dbs = batch_loss_and_grads(*args, np.random.default_rng(3))
+    grads = GradBuffers(params)
+    for a in grads.dws + grads.dbs + [grads.scratch]:
+        a.fill(np.nan)
+    got_loss, got_w, got_b = batch_loss_and_grads(*args, np.random.default_rng(3), grads)
+    assert got_loss == loss
+    assert all(g is a for g, a in zip(got_w + got_b, grads.dws + grads.dbs))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got_w + got_b, dws + dbs))
+    _, again_w, again_b = batch_loss_and_grads(*args, np.random.default_rng(3))
+    assert not any(np.shares_memory(a, b) for a in dws + dbs for b in again_w + again_b)
+
+
+def test_train_calls_the_traced_functions_once_per_batch(monkeypatch):
+    """Per batch, ``train`` calls ``net.batch_loss_and_grads`` (as a module
+    global) on 2-D pair rows, which calls ``net.forward_train`` once per
+    branch, and then ``AdamOptimizer.step`` once: the calls a profiler wraps
+    to time the forward pass, the backward pass and the optimizer step."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(net, "batch_loss_and_grads",
+                        counting("batch", net.batch_loss_and_grads))
+    monkeypatch.setattr(net, "forward_train", counting("forward", net.forward_train))
+    monkeypatch.setattr(AdamOptimizer, "step", counting("step", AdamOptimizer.step))
+    cache = cluster_cache()
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=8)
+    train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))
+    n_batches = cfg.epochs * -(-len(pairs) // cfg.batch_size)
+    names = [name for name, _ in calls]
+    assert names == ["batch", "forward", "forward", "step"] * n_batches
+    for name, args in calls:
+        if name == "batch":
+            assert args[1].ndim == 2 and args[2].ndim == 2
