@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -295,8 +296,14 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     reports = []
     for measure in measures:
+        start = time.perf_counter()
         report = metrics.evaluate_all(
             idx, None, measure, range(1, k_max + 1), headline_k
+        )
+        elapsed = time.perf_counter() - start
+        logger.info(
+            "evaluate %s: %d queries in %.3f s (%.0f queries/s)",
+            measure, len(idx), elapsed, len(idx) / elapsed,
         )
         reports.append(report)
         metrics.save_sweep_csv(

@@ -21,6 +21,12 @@ INDEX_MAGIC = b"EFPI"
 INDEX_VERSION = 1
 FINGERPRINT_BYTES = 32
 
+# Query rows per GEMM in knn_all; bounds its (rows x entries) key matrix.
+KNN_BLOCK_ROWS = 256
+# Sorted GEMM keys closer than TIE_SLACK * (dim + 3) * eps * scale may be
+# ordered differently by the direct formula (see rank).
+TIE_SLACK = 8
+
 
 @dataclass(frozen=True)
 class Ranking:
@@ -40,13 +46,23 @@ class Ranking:
 
 @dataclass
 class EmbeddingIndex:
-    """All database clips as float32 embedding rows, plus provenance hash."""
+    """All database clips as float32 embedding rows, plus provenance hash.
+
+    The ranking state (a float64 copy of the rows, their squared norms, each
+    clip id's place in sorted order and label_codes, each entry's label as an
+    integer) is computed once here; the matrix is not to be changed after
+    construction.
+    """
 
     clip_ids: list[str]
     labels: list[str]
     matrix: np.ndarray
     model_fingerprint: bytes
     _row_of: dict = field(init=False, repr=False)
+    _rows64: np.ndarray = field(init=False, repr=False, compare=False)
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
+    label_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.clip_ids) == len(self.labels) == len(self.matrix)):
@@ -58,6 +74,16 @@ class EmbeddingIndex:
         self._row_of = {cid: i for i, cid in enumerate(self.clip_ids)}
         if len(self._row_of) != len(self.clip_ids):
             raise DataError("duplicate clip_id in index")
+        self._rows64 = self.matrix.astype(np.float64)
+        self._sq_norms = np.sum(np.square(self._rows64), axis=1)
+        self._id_rank = np.empty(len(self.clip_ids), dtype=np.intp)
+        self._id_rank[sorted(range(len(self.clip_ids)), key=self.clip_ids.__getitem__)] = (
+            np.arange(len(self.clip_ids))
+        )
+        codes: dict[str, int] = {}
+        self.label_codes = np.array(
+            [codes.setdefault(label, len(codes)) for label in self.labels], dtype=np.intp
+        )
 
     def __len__(self) -> int:
         return len(self.clip_ids)
@@ -69,14 +95,17 @@ class EmbeddingIndex:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def embedding_of(self, clip_id: str) -> np.ndarray:
+    def row_of(self, clip_id: str) -> int:
         try:
-            return self.matrix[self._row_of[clip_id]]
+            return self._row_of[clip_id]
         except KeyError:
             raise DataError(f"clip {clip_id!r} not in index") from None
 
+    def embedding_of(self, clip_id: str) -> np.ndarray:
+        return self.matrix[self.row_of(clip_id)]
+
     def label_of(self, clip_id: str) -> str:
-        return self.labels[self._row_of[clip_id]]
+        return self.labels[self.row_of(clip_id)]
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
@@ -137,23 +166,95 @@ def build_index(
     )
 
 
-def _scores(index: EmbeddingIndex, q: np.ndarray, measure: str) -> np.ndarray:
-    """Score the query against every entry; float64 math on f32 inputs."""
-    M = index.matrix.astype(np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query embedding has shape {q.shape}, index dim is {index.dim}")
+def _gemm_keys(index: EmbeddingIndex, Q: np.ndarray, measure: str):
+    """Sort keys of every entry for each query row (lower is better), from one
+    GEMM, and the gap below which two sorted keys count as a near-tie."""
+    dots = Q @ index._rows64.T
+    q_sq = np.einsum("ij,ij->i", Q, Q)
     if measure == "euclidean":
-        return np.sqrt(np.sum(np.square(M - q), axis=1))
-    if measure == "cosine":
-        q_norm = np.sqrt(np.sum(np.square(q)))
-        e_norms = np.sqrt(np.sum(np.square(M), axis=1))
-        dots = M @ q
+        # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b, in place; rounding can make it < 0
+        keys = dots
+        keys *= -2.0
+        keys += index._sq_norms
+        keys += q_sq[:, None]
+        np.maximum(keys, 0.0, out=keys)
+        scale = q_sq + index._sq_norms.max()
+    elif measure == "cosine":
+        denom = np.sqrt(q_sq)[:, None] * np.sqrt(index._sq_norms)
         # cosine with a zero vector on either side is defined as 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.where((q_norm > 0) & (e_norms > 0), dots / (e_norms * q_norm), 0.0)
-        return cos
-    raise ValueError(f"unknown measure {measure!r}")
+            keys = np.where(denom > 0, -dots / denom, 0.0)
+        scale = np.ones(len(Q))
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    # A key and a direct score (squared, for euclidean) each differ from the
+    # exact value by at most about (dim + 3) * eps * scale: sums of dim
+    # products plus a few roundings. Two keys more than 4 (dim + 3) * eps *
+    # scale apart keep their order, untied, under the direct formula;
+    # TIE_SLACK doubles that margin.
+    return keys, TIE_SLACK * (index.dim + 3) * np.finfo(np.float64).eps * scale
+
+
+def _direct_scores(index: EmbeddingIndex, q: np.ndarray, rows, measure: str) -> np.ndarray:
+    """The reported scores of the given entries: euclidean from float64
+    differences; cosine dots from one product with every row, so each one
+    rounds the same whichever rows are asked for."""
+    if measure == "euclidean":
+        return np.sqrt(np.sum(np.square(index._rows64[rows] - q), axis=1))
+    q_norm = np.sqrt(np.sum(np.square(q)))
+    e_norms = np.sqrt(index._sq_norms[rows])
+    dots = (index._rows64 @ q)[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((q_norm > 0) & (e_norms > 0), dots / (e_norms * q_norm), 0.0)
+
+
+def rank(index: EmbeddingIndex, queries: np.ndarray, measure: str) -> np.ndarray:
+    """Row positions of every entry for each query row, best match first.
+
+    Euclidean ranks by ascending distance, cosine by descending similarity,
+    exact ties by ascending clip_id. Keys come from the GEMM form; a row whose
+    sorted keys hold a near-tie is ranked again on the direct scores, so the
+    order is the direct formula's in every row.
+    """
+    Q = np.asarray(queries, dtype=np.float64)
+    if Q.ndim != 2 or Q.shape[1] != index.dim:
+        raise ValueError(f"query rows have shape {Q.shape}, index dim is {index.dim}")
+    keys, bound = _gemm_keys(index, Q, measure)
+    order = np.argsort(keys, axis=1)
+    gaps = np.diff(np.take_along_axis(keys, order, axis=1), axis=1)
+    # A row with every gap above the bound has no ties, so a plain argsort
+    # (a tenth of a lexsort's time on 1,800 keys) orders it as lexsort on
+    # (direct score, clip-id rank) would. An exact tie is a gap of 0 and a NaN
+    # gap is not above the bound either: both rows are rescored.
+    for i in np.flatnonzero(~np.all(gaps > bound[:, None], axis=1)):
+        scores = _direct_scores(index, Q[i], slice(None), measure)
+        order[i] = np.lexsort((index._id_rank, -scores if measure == "cosine" else scores))
+    return order
+
+
+def _top(
+    index: EmbeddingIndex,
+    q: np.ndarray,
+    order: np.ndarray,
+    measure: str,
+    k: int,
+    exclude_row: int | None,
+) -> Ranking:
+    """The first k entries of one ranked row, excluded row dropped."""
+    if exclude_row is not None:
+        order = order[order != exclude_row]
+    if len(order) == 0:
+        raise DataError("index contains only the excluded clip")
+    if k > len(order):
+        logger.warning("k=%d exceeds %d searchable clips, clamping", k, len(order))
+        k = len(order)
+    top = order[:k]
+    return Ranking(
+        ids=tuple(index.clip_ids[i] for i in top),
+        labels=tuple(index.labels[i] for i in top),
+        scores=tuple(_direct_scores(index, q, top, measure).tolist()),
+        measure=measure,
+    )
 
 
 def query(
@@ -172,26 +273,11 @@ def query(
         raise DataError("cannot query an empty index")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = _scores(index, q, measure)
-    candidates = [
-        (float(scores[i]), index.clip_ids[i], index.labels[i])
-        for i in range(len(index))
-        if index.clip_ids[i] != exclude
-    ]
-    if not candidates:
-        raise DataError("index contains only the excluded clip")
-    if k > len(candidates):
-        logger.warning("k=%d exceeds %d searchable clips, clamping", k, len(candidates))
-        k = len(candidates)
-    descending = measure == "cosine"
-    candidates.sort(key=lambda c: (-c[0] if descending else c[0], c[1]))
-    top = candidates[:k]
-    return Ranking(
-        ids=tuple(c[1] for c in top),
-        labels=tuple(c[2] for c in top),
-        scores=tuple(c[0] for c in top),
-        measure=measure,
-    )
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (index.dim,):
+        raise ValueError(f"query embedding has shape {q.shape}, index dim is {index.dim}")
+    order = rank(index, q[None, :], measure)[0]
+    return _top(index, q, order, measure, k, index._row_of.get(exclude))
 
 
 def knn_all(
@@ -201,6 +287,8 @@ def knn_all(
     if len(index) < 2:
         raise DataError("knn_all needs an index with at least 2 entries")
     out = []
-    for cid in index.clip_ids:
-        out.append((cid, query(index, index.embedding_of(cid), measure, k, exclude=cid)))
+    for start in range(0, len(index), KNN_BLOCK_ROWS):
+        block = index._rows64[start : start + KNN_BLOCK_ROWS]
+        for row, (q, order) in enumerate(zip(block, rank(index, block, measure)), start):
+            out.append((index.clip_ids[row], _top(index, q, order, measure, k, row)))
     return out

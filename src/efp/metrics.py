@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UnscorableQuery
-from .index import EmbeddingIndex, query
+from .index import EmbeddingIndex, rank
 
 logger = logging.getLogger(__name__)
 
@@ -30,12 +30,24 @@ class RelevanceList:
     m_j: int
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("relevance bits must be 0 or 1")
         if self.m_j < 0:
             raise ValueError("m_j must be >= 0")
         if sum(self.bits) > self.m_j:
             raise ValueError(f"{sum(self.bits)} hits exceed m_j={self.m_j}")
+
+
+def _precision_curve(rel: RelevanceList) -> tuple[np.ndarray, np.ndarray]:
+    """The bits as booleans, and the precision at each rank: hits so far / rank."""
+    bits = np.array(rel.bits, dtype=bool)
+    return bits, np.cumsum(bits) / np.arange(1, len(bits) + 1)
+
+
+def _mean_at_hits(bits: np.ndarray, precision: np.ndarray, m_j: int) -> float:
+    # a running sum in rank order, as a loop adds; np.sum pairs terms and rounds differently
+    terms = np.where(bits, precision, 0.0)
+    return float(np.cumsum(terms)[-1]) / m_j if len(terms) else 0.0
 
 
 def average_precision(rel: RelevanceList) -> float:
@@ -45,21 +57,15 @@ def average_precision(rel: RelevanceList) -> float:
     """
     if rel.m_j == 0:
         raise UnscorableQuery("no relevant items exist for this query")
-    hits = 0
-    total = 0.0
-    for pos, bit in enumerate(rel.bits, start=1):
-        if bit:
-            hits += 1
-            total += hits / pos
-    return total / rel.m_j
+    return _mean_at_hits(*_precision_curve(rel), rel.m_j)
 
 
 def precision_at_first_hit(rel: RelevanceList) -> float:
     """1/rank of the first relevant result."""
-    for pos, bit in enumerate(rel.bits, start=1):
-        if bit:
-            return 1.0 / pos
-    raise UnscorableQuery("no relevant item appears in the ranking")
+    bits, precision = _precision_curve(rel)
+    if not bits.any():
+        raise UnscorableQuery("no relevant item appears in the ranking")
+    return float(precision[bits.argmax()])
 
 
 def precision_at_k(rel: RelevanceList, k: int) -> float:
@@ -90,12 +96,13 @@ class EvalReport:
 
 def relevance_for_query(index: EmbeddingIndex, clip_id: str, measure: str) -> RelevanceList:
     """Rank the whole database (self excluded) and mark same-class results."""
-    q_label = index.label_of(clip_id)
-    ranking = query(
-        index, index.embedding_of(clip_id), measure, k=max(1, len(index) - 1), exclude=clip_id
-    )
-    bits = tuple(1 if label == q_label else 0 for label in ranking.labels)
-    return RelevanceList(bits=bits, m_j=sum(bits))
+    row = index.row_of(clip_id)
+    if len(index) < 2:
+        raise DataError("index contains only the excluded clip")
+    order = rank(index, index.matrix[row : row + 1], measure)[0]
+    order = order[order != row]
+    same = index.label_codes[order] == index.label_codes[row]
+    return RelevanceList(bits=tuple(same.view(np.int8).tolist()), m_j=int(same.sum()))
 
 
 def evaluate_all(
@@ -112,9 +119,17 @@ def evaluate_all(
     """
     if query_ids is None:
         query_ids = list(index.clip_ids)
+    n_classes = len(set(index.labels))
+    distinct = len(np.unique(index.matrix, axis=0))
+    if distinct < n_classes:
+        logger.warning(
+            "index has collapsed: %d distinct embeddings for %d classes", distinct, n_classes
+        )
     db_size = len(index) - 1
     requested = sorted({int(k) for k in k_values} | {int(headline_k)})
-    if requested and requested[-1] > db_size:
+    if requested[0] < 1:
+        raise ValueError(f"K values must be >= 1, got {requested[0]}")
+    if requested[-1] > db_size:
         logger.warning(
             "K values above the %d searchable clips are clamped to %d", db_size, db_size
         )
@@ -122,6 +137,7 @@ def evaluate_all(
     aps: list[float] = []
     first_hits: list[float] = []
     per_k: dict[int, list[float]] = {int(k): [] for k in k_values}
+    k_rows = [clamped[k] - 1 for k in per_k]
     per_class: dict[str, list[float]] = {}
     n_unscorable = 0
     for cid in query_ids:
@@ -130,11 +146,12 @@ def evaluate_all(
             logger.warning("query %r has no same-class clip in the database, skipping", cid)
             n_unscorable += 1
             continue
-        aps.append(average_precision(rel))
-        first_hits.append(precision_at_first_hit(rel))
-        for k in per_k:
-            per_k[k].append(precision_at_k(rel, clamped[k]))
-        headline = precision_at_k(rel, clamped[headline_k])
+        bits, precision = _precision_curve(rel)
+        aps.append(_mean_at_hits(bits, precision, rel.m_j))
+        first_hits.append(float(precision[bits.argmax()]))
+        for k, value in zip(per_k, precision[k_rows].tolist()):
+            per_k[k].append(value)
+        headline = float(precision[clamped[headline_k] - 1])
         per_class.setdefault(index.label_of(cid), []).append(headline)
     if not aps:
         raise DataError("no scorable queries: every query's class is a singleton")

@@ -62,6 +62,75 @@ def ranking_oracle(entries, q, measure, k):
     return [(cid, score) for score, cid in scored[:k]]
 
 
+def direct_scores_oracle(matrix, q, measure):
+    """One query scored against every row, as the package did before its
+    GEMM-form ranking: float64 math on the float32 rows, verbatim."""
+    M = matrix.astype(np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if measure == "euclidean":
+        return np.sqrt(np.sum(np.square(M - q), axis=1))
+    q_norm = np.sqrt(np.sum(np.square(q)))
+    e_norms = np.sqrt(np.sum(np.square(M), axis=1))
+    dots = M @ q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((q_norm > 0) & (e_norms > 0), dots / (e_norms * q_norm), 0.0)
+
+
+def sorted_candidates_oracle(clip_ids, labels, matrix, q, measure, exclude=None):
+    """[(score, clip_id, label)] for every row but `exclude`, best first:
+    euclidean ascending, cosine descending, ties on ascending clip_id."""
+    scores = direct_scores_oracle(matrix, q, measure)
+    candidates = [
+        (float(scores[i]), clip_ids[i], labels[i])
+        for i in range(len(clip_ids))
+        if clip_ids[i] != exclude
+    ]
+    descending = measure == "cosine"
+    candidates.sort(key=lambda c: (-c[0] if descending else c[0], c[1]))
+    return candidates
+
+
+def evaluate_oracle(clip_ids, labels, matrix, measure, k_values, headline_k):
+    """Every row queried against the others (self excluded), one sorted list
+    per query, then AP, first-hit and P@K in position loops. Returns the
+    fields of the package's EvalReport."""
+    db_size = len(clip_ids) - 1
+    clamped = {k: min(k, db_size) for k in set(k_values) | {headline_k}}
+    aps, first_hits = [], []
+    per_k = {k: [] for k in k_values}
+    per_class = {}
+    n_unscorable = 0
+    for i, cid in enumerate(clip_ids):
+        ranked = sorted_candidates_oracle(clip_ids, labels, matrix, matrix[i], measure, cid)
+        bits = [1 if label == labels[i] else 0 for _, _, label in ranked]
+        m_j = sum(bits)
+        if m_j == 0:
+            n_unscorable += 1
+            continue
+        hits = 0
+        total = 0.0
+        for pos, bit in enumerate(bits, start=1):
+            if bit:
+                hits += 1
+                total += hits / pos
+        aps.append(total / m_j)
+        first_hits.append(1.0 / (bits.index(1) + 1))
+        for k in per_k:
+            per_k[k].append(sum(bits[: clamped[k]]) / clamped[k])
+        headline = sum(bits[: clamped[headline_k]]) / clamped[headline_k]
+        per_class.setdefault(labels[i], []).append(headline)
+    return dict(
+        map=float(np.mean(aps)),
+        mp1=float(np.mean(first_hits)),
+        mpk={k: float(np.mean(v)) for k, v in sorted(per_k.items())},
+        per_class_mpk={label: float(np.mean(v)) for label, v in sorted(per_class.items())},
+        measure=measure,
+        n_queries=len(aps),
+        n_unscorable=n_unscorable,
+        headline_k=headline_k,
+    )
+
+
 def mlp_forward_oracle(weights, biases, x):
     """Plain-loop MLP forward pass: ReLU hidden layers, a linear output layer,
     then the output divided by its L2 norm (an all-zero output stays zero)."""

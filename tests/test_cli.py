@@ -1,11 +1,13 @@
 import hashlib
 import logging
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from efp import cli, corpus
+from efp import index as index_mod
 from efp import pairs as pairs_mod
 from efp.features import FeatureCache
 from efp.index import EmbeddingIndex
@@ -139,6 +141,40 @@ def test_query_by_wav_finds_the_stored_clip(pipeline, capsys):
     assert float(top[3]) < 1e-2
 
 
+def test_query_by_wav_calls_the_traced_functions(pipeline, monkeypatch):
+    """`efp query --wav` calls SiameseModel.load, SiameseModel.fingerprint and
+    index.query, the calls a profiler wraps (with every name an efp module
+    imported them under) to time a one-shot query."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    original = index_mod.query
+    wrapped = counting("index.query", original)
+    for name, module in list(sys.modules.items()):
+        if name == "efp" or name.startswith("efp."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, wrapped)
+    monkeypatch.setattr(
+        SiameseModel, "load", classmethod(counting("load", SiameseModel.load.__func__))
+    )
+    monkeypatch.setattr(
+        SiameseModel, "fingerprint", counting("fingerprint", SiameseModel.fingerprint)
+    )
+    record = corpus.Manifest.load(pipeline["split"]).subset("test")[0]
+    rc = cli.main([
+        "query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
+        "--wav", record.source_path, "-k", "2",
+    ])
+    assert rc == 0
+    assert {"load", "fingerprint", "index.query"} <= set(calls)
+
+
 def test_query_warns_on_model_index_mismatch(pipeline, tmp_path, caplog):
     other_model = tmp_path / "other.bin"
     rc = cli.main([
@@ -157,13 +193,16 @@ def test_query_warns_on_model_index_mismatch(pipeline, tmp_path, caplog):
     assert any("different model" in rec.message for rec in caplog.records)
 
 
-def test_evaluate_single_measure_writes_only_that_measure(pipeline, tmp_path):
+def test_evaluate_single_measure_writes_only_that_measure(pipeline, tmp_path, caplog):
     out_dir = tmp_path / "reports"
-    rc = cli.main([
-        "evaluate", "--index", str(pipeline["index"]), "--measure", "cosine",
-        "--k-max", "3", "--headline-k", "3", "--out-dir", str(out_dir),
-    ])
+    with caplog.at_level(logging.INFO, logger="efp.cli"):
+        rc = cli.main([
+            "evaluate", "--index", str(pipeline["index"]), "--measure", "cosine",
+            "--k-max", "3", "--headline-k", "3", "--out-dir", str(out_dir),
+        ])
     assert rc == 0
+    timings = [rec.message for rec in caplog.records if "queries/s" in rec.message]
+    assert len(timings) == 1 and timings[0].startswith("evaluate cosine: ")
     assert (out_dir / "mpk_sweep_cosine.csv").is_file()
     assert not (out_dir / "mpk_sweep_euclidean.csv").exists()
     scalars = (out_dir / "scalars.csv").read_text().splitlines()

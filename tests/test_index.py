@@ -285,4 +285,6 @@ def test_index_validation():
     with pytest.raises(DataError):
         index.embedding_of("ghost")
     with pytest.raises(DataError):
+        index.label_of("ghost")
+    with pytest.raises(DataError):
         query(make_index(np.zeros((0, 3))), np.zeros(3), "euclidean", k=1)

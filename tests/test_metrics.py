@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
+from efp import metrics
 from efp.errors import DataError, UnscorableQuery
-from efp.index import knn_all
+from efp.index import knn_all, query
 from efp.metrics import (
+    EvalReport,
     RelevanceList,
     average_precision,
     evaluate_all,
@@ -17,7 +19,14 @@ from efp.metrics import (
     save_sweep_csv,
 )
 
-from oracles import ap_oracle, first_hit_oracle, p_at_k_oracle
+from oracles import (
+    ap_oracle,
+    evaluate_oracle,
+    first_hit_oracle,
+    p_at_k_oracle,
+    ranking_oracle,
+    sorted_candidates_oracle,
+)
 from test_index import make_index
 
 
@@ -181,6 +190,41 @@ def test_evaluate_all_rejects_all_singletons():
     index = make_index(e, labels=["p", "q", "r"], ids=["p/0#0", "q/0#0", "r/0#0"])
     with pytest.raises(DataError):
         evaluate_all(index, measure="euclidean")
+    with pytest.raises(DataError, match="not in index"):
+        evaluate_all(separable_index(), ["nope"], measure="euclidean")
+
+
+def test_evaluate_all_warns_when_the_index_has_collapsed(caplog):
+    labels = ["a", "a", "b", "b"]
+    ids = [f"{lbl}/{i}#0" for i, lbl in enumerate(labels)]
+    collapsed = make_index(np.ones((4, 3)), labels=labels, ids=ids)
+    with caplog.at_level(logging.WARNING, logger="efp.metrics"):
+        evaluate_all(collapsed, measure="euclidean", k_values=(1,), headline_k=1)
+    assert [rec.message for rec in caplog.records if "collapsed" in rec.message] == [
+        "index has collapsed: 1 distinct embeddings for 2 classes"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="efp.metrics"):
+        evaluate_all(separable_index(), measure="euclidean", k_values=(1,), headline_k=1)
+    assert not [rec for rec in caplog.records if "collapsed" in rec.message]
+
+
+def test_evaluate_all_calls_relevance_for_query_once_per_query(monkeypatch):
+    """evaluate_all looks relevance_for_query up as a module attribute and
+    calls it once per query id: a profiler that wraps it divides the time of
+    evaluate_all by its call count."""
+    calls = []
+    original = metrics.relevance_for_query
+
+    def counting(index, clip_id, measure):
+        calls.append(clip_id)
+        return original(index, clip_id, measure)
+
+    monkeypatch.setattr(metrics, "relevance_for_query", counting)
+    index = separable_index()
+    query_ids = index.clip_ids[::-1]
+    evaluate_all(index, query_ids, measure="cosine", k_values=(1, 2), headline_k=2)
+    assert calls == query_ids
 
 
 def test_evaluate_all_oversized_k_single_warning(caplog):
@@ -250,3 +294,74 @@ def test_csv_writers(tmp_path):
     save_per_class_csv(r_eu, per_class)
     lines = per_class.read_text().splitlines()
     assert lines == ["class,mpk", "a,1.0", "b,1.0"]
+
+
+def labeled_index(rng, m, n_classes=4):
+    """An index of rows m with random labels and shuffled, unsorted ids."""
+    labels = [f"class{int(c)}" for c in rng.integers(0, n_classes, len(m))]
+    ids = [f"{lbl}/{int(rng.integers(1000)):03d}-{i}#0" for i, lbl in enumerate(labels)]
+    order = rng.permutation(len(m))
+    return make_index(m, labels=labels, ids=[ids[i] for i in order])
+
+
+def tie_index(seed, dim, n=40):
+    """Rows whose scores tie: exact duplicates, a row one float32 ulp from
+    another, permutations of one row (equal exact distances to, and dots
+    with, the constant rows), scalar multiples (equal cosines) and zero rows;
+    the rest random, all shuffled."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, dim)).astype(np.float32)
+    m[0:4] = np.array([0.5, 1.0, -1.0, 2.0], dtype=np.float32)[:, None]
+    m[4:10] = [rng.permutation(m[4]) for _ in range(6)]
+    m[10:14] = m[[4, 30, 33, 36]]
+    m[14] = np.nextafter(m[15], np.float32(np.inf))
+    m[16], m[17] = 2 * m[18], m[18] / 2
+    m[19:21] = 0.0
+    return labeled_index(rng, m[rng.permutation(n)])
+
+
+def mirror_index(seed, dim, centers=6, pairs=3):
+    """Pairs of rows mirrored close around a center row. Their distances from
+    the center are often exactly equal while the GEMM form rounds them apart,
+    and there are no duplicate rows whose exact ties would rank every row on
+    the direct formula anyway."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(centers):
+        center = rng.standard_normal(dim).astype(np.float32)
+        offsets = (1e-3 * rng.standard_normal((pairs, dim))).astype(np.float32)
+        rows += [center[None, :], center + offsets, center - offsets]
+    return labeled_index(rng, np.concatenate(rows))
+
+
+def test_engine_matches_direct_formula_oracle_on_near_ties():
+    """evaluate_all, knn_all and query equal the per-query direct-formula
+    path exactly, rankings and scores, on indexes full of ties and near-ties;
+    query also equals the scalar ranking oracle."""
+    indexes = [
+        build(seed, dim=(6, 24)[seed % 2])
+        for seed in range(12)
+        for build in (tie_index, mirror_index)
+    ]
+    for index in indexes:
+        ids, labels, matrix = index.clip_ids, index.labels, index.matrix
+        entries = [(cid, row.astype(np.float64).tolist()) for cid, row in zip(ids, matrix)]
+        for measure in ("euclidean", "cosine"):
+            report = evaluate_all(index, measure=measure, k_values=(1, 2, 5, 10), headline_k=5)
+            want = evaluate_oracle(ids, labels, matrix, measure, (1, 2, 5, 10), 5)
+            assert report == EvalReport(**want)
+            for row, (cid, ranking) in enumerate(knn_all(index, measure, k=len(index) - 1)):
+                want = sorted_candidates_oracle(ids, labels, matrix, matrix[row], measure, cid)
+                assert list(ranking) == [(c, label, score) for score, c, label in want]
+            for q in matrix[:12].astype(np.float64):
+                got = query(index, q, measure, k=len(index))
+                want = sorted_candidates_oracle(ids, labels, matrix, q, measure)
+                assert list(got) == [(c, label, score) for score, c, label in want]
+                if index.dim < 8:
+                    # numpy adds fewer than 8 terms in order, as the scalar oracle
+                    # does; longer rows it sums pairwise, which can round a near-tie
+                    # the other way
+                    oracle = ranking_oracle(entries, q.tolist(), measure, len(index))
+                    assert got.ids == tuple(cid for cid, _ in oracle)
+                    for gs, (_, ws) in zip(got.scores, oracle):
+                        assert abs(gs - ws) <= 1e-12
