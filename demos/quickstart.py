@@ -51,7 +51,7 @@ print(f"index holds {len(index)} embeddings of {index.dim} dimensions")
 
 # 6. query by example: rank the database against the first test clip
 probe = test_ids[0]
-ranking = query(index, index.embedding_of(probe), "euclidean", k=5, exclude=probe)
+ranking = query(index, index.vector(probe), "euclidean", k=5, exclude=probe)
 print(f"query {probe} ({index.label_of(probe)}):")
 for rank, (cid, label, score) in enumerate(ranking, start=1):
     marker = "same class" if label == index.label_of(probe) else "other class"

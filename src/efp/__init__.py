@@ -4,98 +4,4 @@ Pipeline: WAV decoding -> log-spectrogram features -> twin-network training
 with a contrastive loss -> embedding index -> ranked retrieval and metrics.
 """
 
-from .corpus import ClipRecord, Manifest, build_manifest, generate_synthetic, split_manifest
-from .errors import DataError, EfpError, NumericError, UnscorableQuery
-from .features import (
-    FeatConfig,
-    FeatureCache,
-    LogSpecFeature,
-    StftConfig,
-    featurize_clip,
-    featurize_manifest,
-    log_quantize,
-    stft,
-)
-from .index import EmbeddingIndex, Ranking, build_index, knn_all, query
-from .metrics import (
-    EvalReport,
-    RelevanceList,
-    average_precision,
-    evaluate_all,
-    precision_at_first_hit,
-    precision_at_k,
-)
-from .net import (
-    LossConfig,
-    MlpParams,
-    SiameseModel,
-    TrainConfig,
-    contrastive_loss,
-    forward_eval,
-    grad_check,
-    init_params,
-    pair_distance,
-    pair_loss_and_grads,
-    train,
-)
-from .pairs import (
-    PairExample,
-    PairingConfig,
-    balanced_pairs,
-    epoch_shuffle,
-    positive_pairs,
-    unbalanced_pairs,
-)
-from .wav import PcmClip, decode_wav
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClipRecord",
-    "DataError",
-    "EfpError",
-    "EmbeddingIndex",
-    "EvalReport",
-    "FeatConfig",
-    "FeatureCache",
-    "LogSpecFeature",
-    "LossConfig",
-    "Manifest",
-    "MlpParams",
-    "NumericError",
-    "PairExample",
-    "PairingConfig",
-    "PcmClip",
-    "Ranking",
-    "RelevanceList",
-    "SiameseModel",
-    "StftConfig",
-    "TrainConfig",
-    "UnscorableQuery",
-    "average_precision",
-    "balanced_pairs",
-    "build_index",
-    "build_manifest",
-    "contrastive_loss",
-    "decode_wav",
-    "epoch_shuffle",
-    "evaluate_all",
-    "featurize_clip",
-    "featurize_manifest",
-    "forward_eval",
-    "generate_synthetic",
-    "grad_check",
-    "init_params",
-    "knn_all",
-    "log_quantize",
-    "pair_distance",
-    "pair_loss_and_grads",
-    "positive_pairs",
-    "precision_at_first_hit",
-    "precision_at_k",
-    "query",
-    "split_manifest",
-    "stft",
-    "train",
-    "unbalanced_pairs",
-]

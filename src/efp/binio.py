@@ -1,7 +1,9 @@
-"""Little-endian primitives shared by the binary artifact formats."""
+"""Little-endian primitives shared by the binary artifact formats, their
+atomic save, and the labeled-row record and lookup of the cache and index."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import sys
@@ -19,10 +21,22 @@ def read_exact(f: BinaryIO, n: int) -> bytes:
     return data
 
 
-def expect_magic(f: BinaryIO, magic: bytes, path) -> None:
-    got = f.read(len(magic))
-    if got != magic:
-        raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+@contextlib.contextmanager
+def open_artifact(path, magic: bytes, version: int, kind: str):
+    """Open an artifact for reading, positioned after its magic and a u32
+    version, both checked; every failure is a DataError."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open {kind} ({exc})") from exc
+    with f:
+        got = f.read(len(magic))
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        got = read_u32(f)
+        if got != version:
+            raise DataError(f"{path}: unsupported {kind} version {got}")
+        yield f
 
 
 def check_fits(f: BinaryIO, count: int, item_bytes: int, path) -> None:
@@ -68,8 +82,11 @@ def write_str(f: BinaryIO, s: str) -> None:
 
 
 def read_str(f: BinaryIO) -> str:
-    n = read_u32(f)
-    return read_exact(f, n).decode("utf-8")
+    data = read_exact(f, read_u32(f))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"string is not valid UTF-8 ({exc})") from None
 
 
 def write_f32_array(f: BinaryIO, a: np.ndarray) -> None:
@@ -77,4 +94,79 @@ def write_f32_array(f: BinaryIO, a: np.ndarray) -> None:
 
 
 def read_f32_array(f: BinaryIO, count: int) -> np.ndarray:
-    return np.frombuffer(read_exact(f, 4 * count), dtype="<f4").copy()
+    """``count`` float32 values as a read-only array over the bytes read."""
+    return np.frombuffer(read_exact(f, 4 * count), dtype="<f4")
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Write ``path`` through a temporary file beside it, renamed onto it when
+    the block ends and deleted if the block raises, so ``path`` only ever
+    holds a whole file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_records(f: BinaryIO, ids, labels, matrix: np.ndarray) -> None:
+    """One record per row: u32-length id, u32-length label, the float32 row."""
+    for cid, label, row in zip(ids, labels, matrix):
+        write_str(f, cid)
+        write_str(f, label)
+        write_f32_array(f, row)
+
+
+def read_records(f: BinaryIO, count: int, dim: int, path):
+    """(ids, labels, float32 matrix) of ``count`` records, read row by row."""
+    # per row: two string length prefixes and dim float32 values
+    check_fits(f, count, 8 + 4 * dim, path)
+    ids, labels = [], []
+    matrix = np.empty((count, dim), dtype=np.float32)
+    for i in range(count):
+        ids.append(read_str(f))
+        labels.append(read_str(f))
+        matrix[i] = read_f32_array(f, dim)
+    return ids, labels, matrix
+
+
+class LabeledRows:
+    """Parallel ``clip_ids``, ``labels`` and ``matrix`` rows with lookup by
+    clip id; the base of the feature cache and the embedding index, whose
+    ``kind`` names them in errors."""
+
+    kind = "container"
+
+    def __post_init__(self):
+        if not (len(self.clip_ids) == len(self.labels) == len(self.matrix)):
+            raise DataError(f"{self.kind} fields disagree on clip count")
+        self._row_of = {cid: i for i, cid in enumerate(self.clip_ids)}
+        if len(self._row_of) != len(self.clip_ids):
+            raise DataError(f"duplicate clip_id in {self.kind}")
+
+    def __len__(self) -> int:
+        return len(self.clip_ids)
+
+    def __contains__(self, clip_id: str) -> bool:
+        return clip_id in self._row_of
+
+    def row_of(self, clip_id: str) -> int:
+        try:
+            return self._row_of[clip_id]
+        except KeyError:
+            raise DataError(f"clip {clip_id!r} not in {self.kind}") from None
+
+    def vector(self, clip_id: str) -> np.ndarray:
+        return self.matrix[self.row_of(clip_id)]
+
+    def label_of(self, clip_id: str) -> str:
+        return self.labels[self.row_of(clip_id)]
+
+    def rows(self, clip_ids) -> np.ndarray:
+        """A new array of the given clips' rows, in the order given."""
+        return self.matrix[[self.row_of(cid) for cid in clip_ids]]

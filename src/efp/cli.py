@@ -259,7 +259,7 @@ def _query_embedding(args, model: SiameseModel, idx: EmbeddingIndex) -> np.ndarr
     if (args.wav is None) == (args.clip_id is None):
         raise UsageError("provide exactly one of --wav or --clip-id")
     if args.clip_id is not None:
-        return idx.embedding_of(args.clip_id).astype(np.float64)
+        return idx.vector(args.clip_id).astype(np.float64)
     clips = list(wav.decode_wav(args.wav, _rate(args)))
     if not clips:
         raise DataError(f"{args.wav}: no full 2-second clip to query with")

@@ -79,19 +79,19 @@ class Manifest:
             raise DataError(f"{path}: cannot open manifest ({exc})") from exc
         with f:
             reader = csv.reader(f)
-            header = next(reader, None)
-            if header != MANIFEST_HEADER:
-                raise DataError(f"{path}: bad manifest header {header}")
-            records = []
-            for row in reader:
-                if len(row) != 5:
-                    raise DataError(f"{path}: malformed manifest row {row}")
-                try:
+            try:
+                header = next(reader, None)
+                if header != MANIFEST_HEADER:
+                    raise DataError(f"{path}: bad manifest header {header}")
+                records = []
+                for row in reader:
+                    if len(row) != 5:
+                        raise DataError(f"{path}: malformed manifest row {row}")
                     records.append(
                         ClipRecord(row[0], row[1], int(row[2]), row[3], row[4])
                     )
-                except ValueError as exc:
-                    raise DataError(f"{path}: {exc}") from exc
+            except ValueError as exc:  # a bad integer, field or UTF-8 byte
+                raise DataError(f"{path}: {exc}") from exc
         return cls(records=tuple(records))
 
 
@@ -178,13 +178,9 @@ def split_manifest(
                 "every split needs at least one file"
             )
         rng = np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
-        order = [files[i] for i in rng.permutation(len(files))]
-        for path in order[:n_val]:
-            split_of_file[(label, path)] = "val"
-        for path in order[n_val : n_val + n_test]:
-            split_of_file[(label, path)] = "test"
-        for path in order[n_val + n_test :]:
-            split_of_file[(label, path)] = "train"
+        for i, j in enumerate(rng.permutation(len(files))):
+            split = "val" if i < n_val else "test" if i < n_val + n_test else "train"
+            split_of_file[(label, files[j])] = split
     new_records = tuple(
         replace(r, split=split_of_file[(r.class_label, r.source_path)])
         for r in m.records

@@ -7,9 +7,9 @@ log-compressed and flattened frequency-major into a 13509-dim vector.
 
 from __future__ import annotations
 
+import functools
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -53,10 +53,6 @@ class StftConfig:
     def hop_samples(self, rate_hz: int) -> int:
         return rate_hz * self.hop_ms // 1000
 
-    @property
-    def n_freq_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
 
 @dataclass(frozen=True)
 class FeatConfig:
@@ -84,14 +80,6 @@ class LogSpecFeature:
     class_label: str | None = None
 
 
-def _window(name: str, length: int) -> np.ndarray:
-    if name == "hann":
-        return np.hanning(length)
-    if name == "rectangular":
-        return np.ones(length)
-    raise ValueError(f"unknown window_fn {name!r}")
-
-
 def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Complex spectrogram of shape (n_frames, fft_size//2 + 1).
 
@@ -110,7 +98,8 @@ def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if len(samples) < win:
         raise DataError(f"clip {clip.clip_id!r} is shorter than one analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
-    return np.fft.rfft(frames * _window(cfg.window_fn, win), n=cfg.fft_size, axis=1)
+    window = np.hanning(win) if cfg.window_fn == "hann" else np.ones(win)
+    return np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
 
 
 def _log_bin_assignments(n_positions: int, n_out: int) -> np.ndarray:
@@ -123,30 +112,31 @@ def _log_bin_assignments(n_positions: int, n_out: int) -> np.ndarray:
     return np.minimum((frac * n_out).astype(np.intp), n_out - 1)
 
 
-def _pool_rows(values: np.ndarray, assign: np.ndarray, n_out: int) -> np.ndarray:
-    """Mean-pool rows of `values` into n_out bins per `assign`.
+def _pooling_matrix(assign: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_out, len(assign)) 0/1 matrix that sums each position into its
+    assigned bin, and each bin's count. A bin that receives no position
+    copies the row and count of the nearest filled bin (the lower one when
+    two are equally near), so no output is undefined."""
+    P = np.zeros((n_out, len(assign)))
+    P[assign, np.arange(len(assign))] = 1.0
+    counts = P.sum(axis=1)
+    filled = np.flatnonzero(counts)
+    # argmin takes the first of equal distances, and filled ascends
+    nearest = filled[np.argmin(np.abs(np.arange(n_out)[:, np.newaxis] - filled), axis=1)]
+    return P[nearest], counts[nearest]
 
-    Bins that receive no rows copy the nearest filled bin (lower index wins
-    when equidistant), so the output never contains undefined rows.
-    """
-    sums = np.zeros((n_out, values.shape[1]))
-    counts = np.zeros(n_out)
-    np.add.at(sums, assign, values)
-    np.add.at(counts, assign, 1.0)
-    filled = np.flatnonzero(counts > 0)
-    out = np.empty_like(sums)
-    out[filled] = sums[filled] / counts[filled, np.newaxis]
-    for i in np.flatnonzero(counts == 0):
-        k = np.searchsorted(filled, i)
-        left = filled[k - 1] if k > 0 else None
-        right = filled[k] if k < len(filled) else None
-        if left is None:
-            src = right
-        elif right is None or i - left <= right - i:
-            src = left
-        else:
-            src = right
-        out[i] = out[src]
+
+@functools.lru_cache(maxsize=16)
+def _pooling_matrices(n_frames: int, n_bins: int, freq_bins: int, time_bins: int):
+    """Band sums Sf (freq_bins x n_bins) with counts cf (freq_bins x 1), and
+    transposed time sums StT (n_frames x time_bins) with counts ct, for one
+    spectrogram shape; all read-only."""
+    freq_assign = np.concatenate(([0], _log_bin_assignments(n_bins - 1, freq_bins)))
+    Sf, cf = _pooling_matrix(freq_assign, freq_bins)
+    St, ct = _pooling_matrix(_log_bin_assignments(n_frames, time_bins), time_bins)
+    out = Sf, cf[:, np.newaxis], St.T, ct
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
@@ -161,19 +151,15 @@ def log_quantize(
     Frequency bins 1..Nyquist are mean-pooled into cfg.freq_bins log-spaced
     bands (DC folded into the first band); frames are remapped onto
     cfg.time_bins log-spaced positions the same way. Amplitudes become
-    log(magnitude + amplitude_floor).
+    log(magnitude + amplitude_floor). Each pooling is a product with a 0/1
+    matrix followed by a division by the bin counts, which adds and divides
+    as a per-bin loop would, up to the order of the sums.
     """
     if spec.size == 0:
         raise DataError("empty spectrogram")
     mag = np.abs(np.asarray(spec))
-    n_frames, n_bins = mag.shape
-    freq_assign = np.concatenate(
-        ([0], _log_bin_assignments(n_bins - 1, cfg.freq_bins))
-    )
-    pooled = _pool_rows(mag.T, freq_assign, cfg.freq_bins)
-    time_assign = _log_bin_assignments(n_frames, cfg.time_bins)
-    pooled = _pool_rows(pooled.T, time_assign, cfg.time_bins).T
-    values = np.log(pooled + cfg.amplitude_floor)
+    Sf, cf, StT, ct = _pooling_matrices(*mag.shape, cfg.freq_bins, cfg.time_bins)
+    values = np.log((Sf @ mag.T) / cf @ StT / ct + cfg.amplitude_floor)
     return LogSpecFeature(values=values.reshape(-1), clip_id=clip_id, class_label=class_label)
 
 
@@ -190,7 +176,7 @@ def featurize_clip(
 
 
 @dataclass
-class FeatureCache:
+class FeatureCache(binio.LabeledRows):
     """All featurized clips of a corpus, held as one float32 matrix."""
 
     freq_bins: int
@@ -198,71 +184,30 @@ class FeatureCache:
     clip_ids: list[str]
     labels: list[str]
     matrix: np.ndarray
-    _row_of: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if not (len(self.clip_ids) == len(self.labels) == len(self.matrix)):
-            raise DataError("feature cache fields disagree on clip count")
-        self._row_of = {cid: i for i, cid in enumerate(self.clip_ids)}
-        if len(self._row_of) != len(self.clip_ids):
-            raise DataError("duplicate clip_id in feature cache")
-
-    def __len__(self) -> int:
-        return len(self.clip_ids)
-
-    def __contains__(self, clip_id: str) -> bool:
-        return clip_id in self._row_of
+    kind = "feature cache"
 
     @property
     def dim(self) -> int:
         return self.freq_bins * self.time_bins
 
-    def vector(self, clip_id: str) -> np.ndarray:
-        try:
-            return self.matrix[self._row_of[clip_id]]
-        except KeyError:
-            raise DataError(f"clip {clip_id!r} not in feature cache") from None
-
-    def label_of(self, clip_id: str) -> str:
-        return self.labels[self._row_of[clip_id]]
-
     def save(self, path) -> None:
-        with open(path, "wb") as f:
+        with binio.atomic_write(path) as f:
             f.write(CACHE_MAGIC)
             binio.write_u32(f, CACHE_VERSION)
             binio.write_u32(f, self.freq_bins)
             binio.write_u32(f, self.time_bins)
             binio.write_u64(f, len(self.clip_ids))
-            for cid, label, row in zip(self.clip_ids, self.labels, self.matrix):
-                binio.write_str(f, cid)
-                binio.write_str(f, label)
-                binio.write_f32_array(f, row)
+            binio.write_records(f, self.clip_ids, self.labels, self.matrix)
 
     @classmethod
     def load(cls, path) -> "FeatureCache":
-        try:
-            f = open(path, "rb")
-        except OSError as exc:
-            raise DataError(f"{path}: cannot open feature cache ({exc})") from exc
-        with f:
-            binio.expect_magic(f, CACHE_MAGIC, path)
-            version = binio.read_u32(f)
-            if version != CACHE_VERSION:
-                raise DataError(f"{path}: unsupported feature cache version {version}")
+        with binio.open_artifact(path, CACHE_MAGIC, CACHE_VERSION, cls.kind) as f:
             freq_bins = binio.read_u32(f)
             time_bins = binio.read_u32(f)
             count = binio.read_u64(f)
-            dim = freq_bins * time_bins
-            # per row: two string length prefixes and dim float32 values
-            binio.check_fits(f, count, 8 + 4 * dim, path)
-            ids: list[str] = []
-            labels: list[str] = []
-            matrix = np.empty((count, dim), dtype=np.float32)
-            for i in range(count):
-                ids.append(binio.read_str(f))
-                labels.append(binio.read_str(f))
-                matrix[i] = binio.read_f32_array(f, dim)
-        return cls(freq_bins, time_bins, ids, labels, matrix)
+            records = binio.read_records(f, count, freq_bins * time_bins, path)
+        return cls(freq_bins, time_bins, *records)
 
 
 def featurize_manifest(

@@ -45,7 +45,7 @@ class Ranking:
 
 
 @dataclass
-class EmbeddingIndex:
+class EmbeddingIndex(binio.LabeledRows):
     """All database clips as float32 embedding rows, plus provenance hash.
 
     The ranking state (a float64 copy of the rows, their squared norms, each
@@ -58,22 +58,19 @@ class EmbeddingIndex:
     labels: list[str]
     matrix: np.ndarray
     model_fingerprint: bytes
-    _row_of: dict = field(init=False, repr=False)
     _rows64: np.ndarray = field(init=False, repr=False, compare=False)
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     label_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
+    kind = "index"
+
     def __post_init__(self):
-        if not (len(self.clip_ids) == len(self.labels) == len(self.matrix)):
-            raise DataError("index fields disagree on entry count")
+        super().__post_init__()
         if len(self.model_fingerprint) != FINGERPRINT_BYTES:
             raise DataError("model fingerprint must be 32 bytes")
         if self.matrix.size and not np.all(np.isfinite(self.matrix)):
             raise DataError("index contains non-finite embeddings")
-        self._row_of = {cid: i for i, cid in enumerate(self.clip_ids)}
-        if len(self._row_of) != len(self.clip_ids):
-            raise DataError("duplicate clip_id in index")
         self._rows64 = self.matrix.astype(np.float64)
         self._sq_norms = np.sum(np.square(self._rows64), axis=1)
         self._id_rank = np.empty(len(self.clip_ids), dtype=np.intp)
@@ -85,63 +82,27 @@ class EmbeddingIndex:
             [codes.setdefault(label, len(codes)) for label in self.labels], dtype=np.intp
         )
 
-    def __len__(self) -> int:
-        return len(self.clip_ids)
-
-    def __contains__(self, clip_id: str) -> bool:
-        return clip_id in self._row_of
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row_of(self, clip_id: str) -> int:
-        try:
-            return self._row_of[clip_id]
-        except KeyError:
-            raise DataError(f"clip {clip_id!r} not in index") from None
-
-    def embedding_of(self, clip_id: str) -> np.ndarray:
-        return self.matrix[self.row_of(clip_id)]
-
-    def label_of(self, clip_id: str) -> str:
-        return self.labels[self.row_of(clip_id)]
-
     def save(self, path) -> None:
-        with open(path, "wb") as f:
+        with binio.atomic_write(path) as f:
             f.write(INDEX_MAGIC)
             binio.write_u32(f, INDEX_VERSION)
             binio.write_u32(f, self.dim)
             binio.write_u64(f, len(self.clip_ids))
             f.write(self.model_fingerprint)
-            for cid, label, row in zip(self.clip_ids, self.labels, self.matrix):
-                binio.write_str(f, cid)
-                binio.write_str(f, label)
-                binio.write_f32_array(f, row)
+            binio.write_records(f, self.clip_ids, self.labels, self.matrix)
 
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
-        try:
-            f = open(path, "rb")
-        except OSError as exc:
-            raise DataError(f"{path}: cannot open index file ({exc})") from exc
-        with f:
-            binio.expect_magic(f, INDEX_MAGIC, path)
-            version = binio.read_u32(f)
-            if version != INDEX_VERSION:
-                raise DataError(f"{path}: unsupported index version {version}")
+        with binio.open_artifact(path, INDEX_MAGIC, INDEX_VERSION, cls.kind) as f:
             dim = binio.read_u32(f)
             count = binio.read_u64(f)
             fingerprint = binio.read_exact(f, FINGERPRINT_BYTES)
-            binio.check_fits(f, count, 8 + 4 * dim, path)
-            ids: list[str] = []
-            labels: list[str] = []
-            matrix = np.empty((count, dim), dtype=np.float32)
-            for i in range(count):
-                ids.append(binio.read_str(f))
-                labels.append(binio.read_str(f))
-                matrix[i] = binio.read_f32_array(f, dim)
-        return cls(ids, labels, matrix, fingerprint)
+            records = binio.read_records(f, count, dim, path)
+        return cls(*records, fingerprint)
 
 
 def build_index(
@@ -152,15 +113,13 @@ def build_index(
     """Embed the given clips (default: whole cache) in input order."""
     if clip_ids is None:
         clip_ids = list(cache.clip_ids)
-    # float32 as cached; the model widens them while normalizing
-    rows = np.asarray([cache.vector(cid) for cid in clip_ids], dtype=np.float32)
-    if len(rows) == 0:
+    if len(clip_ids) == 0:
         raise DataError("cannot build an index from zero clips")
-    embeddings = model.embed(rows).astype(np.float32)
-    labels = [cache.label_of(cid) for cid in clip_ids]
+    # float32 as cached; the model widens them while normalizing
+    embeddings = model.embed(cache.rows(clip_ids)).astype(np.float32)
     return EmbeddingIndex(
         clip_ids=list(clip_ids),
-        labels=labels,
+        labels=[cache.label_of(cid) for cid in clip_ids],
         matrix=embeddings,
         model_fingerprint=model.fingerprint(),
     )

@@ -194,14 +194,18 @@ def pair_distance(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(e1 - e2))))
 
 
+def _contrastive(y, d, margin: float):
+    """Per-pair contrastive loss, 0.5*d^2 where y == 1 and 0.5*hinge^2
+    elsewhere, and the hinge max(0, margin - d)."""
+    hinge = np.maximum(0.0, margin - d)
+    return np.where(y == 1, 0.5 * d * d, 0.5 * hinge * hinge), hinge
+
+
 def contrastive_loss(y: int, d: float, cfg: LossConfig = LossConfig()) -> float:
     """0.5*d^2 for similar pairs; 0.5*max(0, margin - d)^2 for dissimilar."""
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
-    if y == 1:
-        return 0.5 * d * d
-    hinge = max(0.0, cfg.margin - d)
-    return 0.5 * hinge * hinge
+    return float(_contrastive(y, d, cfg.margin)[0])
 
 
 class GradBuffers:
@@ -271,8 +275,7 @@ def batch_loss_and_grads(
     y = np.asarray(y, dtype=np.float64)
     diff = e1 - e2
     d = np.sqrt(np.sum(np.square(diff), axis=1))
-    hinge = np.maximum(0.0, loss_cfg.margin - d)
-    losses = y * 0.5 * d * d + (1.0 - y) * 0.5 * hinge * hinge
+    losses, hinge = _contrastive(y, d, loss_cfg.margin)
     loss = float(losses.mean())
     # d(loss_i)/d(e1_i) = coef_i * (e1_i - e2_i); similar pairs pull together
     # (coef 1), dissimilar pairs inside the margin push apart
@@ -510,20 +513,12 @@ class SiameseModel:
         return hashlib.sha256(self.to_bytes()).digest()
 
     def save(self, path) -> None:
-        with open(path, "wb") as f:
+        with binio.atomic_write(path) as f:
             f.write(self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "SiameseModel":
-        try:
-            f = open(path, "rb")
-        except OSError as exc:
-            raise DataError(f"{path}: cannot open model file ({exc})") from exc
-        with f:
-            binio.expect_magic(f, MODEL_MAGIC, path)
-            version = binio.read_u32(f)
-            if version != MODEL_VERSION:
-                raise DataError(f"{path}: unsupported model version {version}")
+        with binio.open_artifact(path, MODEL_MAGIC, MODEL_VERSION, "model") as f:
             n_dims = binio.read_u32(f)
             if not 2 <= n_dims <= 64:
                 raise DataError(f"{path}: implausible layer count {n_dims}")
@@ -580,13 +575,10 @@ def train(
         raise DataError("need non-empty train and validation pair lists")
     train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
     val_ids = sorted({cid for p in val_pairs for cid in (p.clip_a, p.clip_b)})
-    for cid in train_ids + val_ids:
-        if cid not in cache:
-            raise DataError(f"clip {cid!r} referenced by a pair is not in the feature cache")
+    X_train = cache.rows(train_ids).astype(np.float64)
+    X_val = cache.rows(val_ids).astype(np.float64)
     if layer_dims is None:
         layer_dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
-    X_train = np.asarray([cache.vector(cid) for cid in train_ids], dtype=np.float64)
-    X_val = np.asarray([cache.vector(cid) for cid in val_ids], dtype=np.float64)
     if train_cfg.feature_means is not None and train_cfg.feature_stds is not None:
         means = _quantize_f32(train_cfg.feature_means)
         stds = _quantize_f32(train_cfg.feature_stds)
@@ -644,10 +636,7 @@ def train(
             )
         e_val = forward_eval(params, Z_val)
         d_val = np.sqrt(np.sum(np.square(e_val[va_a] - e_val[va_b]), axis=1))
-        hinge = np.maximum(0.0, loss_cfg.margin - d_val)
-        val_loss = float(
-            np.mean(va_y * 0.5 * d_val**2 + (1.0 - va_y) * 0.5 * hinge**2)
-        )
+        val_loss = float(np.mean(_contrastive(va_y, d_val, loss_cfg.margin)[0]))
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         history.append((epoch, train_loss, val_loss))

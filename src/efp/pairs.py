@@ -165,14 +165,6 @@ def make_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExam
     return unbalanced_pairs(clips, cfg)
 
 
-def epoch_shuffle(pairs: Sequence[PairExample], seed: int, epoch: int) -> list[PairExample]:
-    """Permutation of `pairs` that is a pure function of (seed, epoch)."""
-    if not pairs:
-        raise ValueError("cannot shuffle an empty pair list")
-    rng = np.random.default_rng([seed, epoch])
-    return [pairs[int(i)] for i in rng.permutation(len(pairs))]
-
-
 def save_pairs(pairs: Iterable[PairExample], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -188,10 +180,10 @@ def load_pairs(path) -> list[PairExample]:
         raise DataError(f"{path}: cannot open pair list ({exc})") from exc
     with f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["clip_a", "clip_b", "label"]:
-            raise DataError(f"{path}: bad pair-list header {header}")
         try:
+            header = next(reader, None)
+            if header != ["clip_a", "clip_b", "label"]:
+                raise DataError(f"{path}: bad pair-list header {header}")
             return [PairExample(row[0], row[1], int(row[2])) for row in reader]
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError) as exc:  # includes a bad UTF-8 byte
             raise DataError(f"{path}: malformed pair row ({exc})") from exc

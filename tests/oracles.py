@@ -229,3 +229,54 @@ def negative_count_oracle(class_sizes):
         for j in range(i + 1, len(sizes)):
             total += sizes[i] * sizes[j]
     return total
+
+
+def log_bin_assignments_oracle(n_positions, n_out):
+    """Assign 1-based positions 1..n_positions to n_out log-spaced bins."""
+    if n_positions < 1:
+        raise ValueError("need at least one position")
+    if n_positions == 1:
+        return np.zeros(1, dtype=np.intp)
+    frac = np.log(np.arange(1, n_positions + 1, dtype=np.float64)) / np.log(n_positions)
+    return np.minimum((frac * n_out).astype(np.intp), n_out - 1)
+
+
+def pool_rows_oracle(values, assign, n_out):
+    """Mean-pool rows of `values` into n_out bins per `assign`.
+
+    Bins that receive no rows copy the nearest filled bin (lower index wins
+    when equidistant), so the output never contains undefined rows.
+    """
+    sums = np.zeros((n_out, values.shape[1]))
+    counts = np.zeros(n_out)
+    np.add.at(sums, assign, values)
+    np.add.at(counts, assign, 1.0)
+    filled = np.flatnonzero(counts > 0)
+    out = np.empty_like(sums)
+    out[filled] = sums[filled] / counts[filled, np.newaxis]
+    for i in np.flatnonzero(counts == 0):
+        k = np.searchsorted(filled, i)
+        left = filled[k - 1] if k > 0 else None
+        right = filled[k] if k < len(filled) else None
+        if left is None:
+            src = right
+        elif right is None or i - left <= right - i:
+            src = left
+        else:
+            src = right
+        out[i] = out[src]
+    return out
+
+
+def log_quantize_oracle(spec, freq_bins, time_bins, amplitude_floor):
+    """The (freq_bins, time_bins) pooled magnitudes of a spectrogram, by two
+    row-pooling passes, and the flat log feature vector made from them."""
+    mag = np.abs(np.asarray(spec))
+    n_frames, n_bins = mag.shape
+    freq_assign = np.concatenate(
+        ([0], log_bin_assignments_oracle(n_bins - 1, freq_bins))
+    )
+    pooled = pool_rows_oracle(mag.T, freq_assign, freq_bins)
+    time_assign = log_bin_assignments_oracle(n_frames, time_bins)
+    pooled = pool_rows_oracle(pooled.T, time_assign, time_bins).T
+    return pooled, np.log(pooled + amplitude_floor).reshape(-1)

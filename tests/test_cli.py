@@ -1,12 +1,16 @@
+import ast
 import hashlib
+import importlib
+import inspect
 import logging
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from efp import cli, corpus
+from efp import binio, cli, corpus
 from efp import index as index_mod
 from efp import pairs as pairs_mod
 from efp.features import FeatureCache
@@ -288,6 +292,93 @@ def test_oversized_header_counts_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("header declares") == 3
     assert "Traceback" not in err
+
+
+def test_invalid_utf8_in_cache_index_and_manifest_exits_2(pipeline, tmp_path, capsys):
+    def with_ff(src, offset, name):
+        data = bytearray(Path(src).read_bytes())
+        data[offset] = 0xFF
+        (tmp_path / name).write_bytes(bytes(data))
+        return str(tmp_path / name)
+
+    # the first clip id's bytes follow its u32 length: at 28 in a cache
+    # (24-byte header), at 56 in an index (52-byte header with fingerprint),
+    cache = with_ff(pipeline["cache"], 28, "cache.bin")
+    index = with_ff(pipeline["index"], 56, "index.bin")
+    # and the first row's clip id follows the manifest's header line
+    manifest = with_ff(pipeline["split"], len(",".join(corpus.MANIFEST_HEADER)) + 1, "m.csv")
+    capsys.readouterr()
+    cases = [
+        ["index", "--model", str(pipeline["model"]), "--cache", cache,
+         "--out", str(tmp_path / "i.bin")],
+        ["evaluate", "--index", index, "--out-dir", str(tmp_path / "r")],
+        ["split", "--manifest", manifest, "--out", str(tmp_path / "s.csv")],
+    ]
+    for argv in cases:
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("kind", ["cache", "index", "model"])
+def test_interrupted_save_keeps_the_previous_file(pipeline, tmp_path, monkeypatch, kind):
+    load = {"cache": FeatureCache.load, "index": EmbeddingIndex.load,
+            "model": SiameseModel.load}[kind]
+    path = tmp_path / "artifact.bin"
+    shutil.copyfile(pipeline[kind], path)
+    artifact = load(path)
+    before = path.read_bytes()
+    calls = []
+    real_write = binio.write_f32_array
+
+    def failing_write(f, a):
+        calls.append(1)
+        if len(calls) == 2:  # one array in: the temporary file has a part
+            raise OSError("disk full")
+        real_write(f, a)
+
+    monkeypatch.setattr(binio, "write_f32_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        artifact.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    monkeypatch.undo()
+    artifact.save(path)
+    assert path.read_bytes() == before
+
+
+def test_traced_span_names_are_functions_the_tracer_wraps():
+    """Every `<module>.<function>` or `<module>.<Class>.<method>` span that
+    bench/tracing.py's layer_metrics reads names a function of that module or
+    a method in that class's own __dict__: the tracer wraps only those, so an
+    inherited method would leave its span empty."""
+    source = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    tree = ast.parse(source)
+    modules = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "MODULES"
+    )
+    layer_metrics = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    names = {
+        call.args[0].value for call in ast.walk(layer_metrics)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("total", "median", "count", "ids")
+        and call.args and isinstance(call.args[0], ast.Constant)
+        and call.args[0].value.split(".")[0] in modules
+    }
+    assert len(names) > 20
+    for name in names:
+        module, *owner, attr = name.split(".")
+        mod = importlib.import_module(f"efp.{module}")
+        if owner:
+            cls = getattr(mod, owner[0])
+            assert attr in vars(cls), name
+        else:
+            assert inspect.isfunction(getattr(mod, attr)), name
+            assert getattr(mod, attr).__module__ == mod.__name__, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

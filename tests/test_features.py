@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+from efp.corpus import build_manifest
 from efp.errors import DataError
 from efp.features import (
     FeatConfig,
     FeatureCache,
     StftConfig,
+    _pooling_matrices,
     featurize_clip,
     featurize_manifest,
     log_quantize,
     stft,
 )
+from efp.wav import decode_wav
 
 from conftest import make_clip, noise_clip, sine_clip, write_wav
-from oracles import frame_count_oracle
+from oracles import frame_count_oracle, log_quantize_oracle
 
 LOG_FLOOR = np.log(1e-6)
 
@@ -130,6 +133,37 @@ def test_empty_time_bins_copy_nearest_neighbor():
     assert row == pytest.approx([1.0, 1.0, 3.0, 3.0])
 
 
+def test_pooling_matrices_match_the_row_pooling_oracle():
+    rng = np.random.default_rng(8)
+    cases = [
+        (3, 5, 2, 2),  # the hand case
+        (2, 2, 1, 4),  # empty time bins between two frames
+        (7, 33, 4, 30),  # more time bins than frames
+        (6, 9, 20, 3),  # more bands than FFT bins: empty frequency bins too
+        (1, 2, 3, 5),  # one frame and one non-DC bin
+    ]
+    mags = [rng.uniform(0.0, 4.0, (n_frames, n_bins)) for n_frames, n_bins, _, _ in cases]
+    # random 2 s clips at the default settings (61 frames into 171 time bins)
+    for seed in range(4):
+        mags.append(np.abs(stft(noise_clip(seed, amplitude=0.02 + 0.1 * seed))))
+        cases.append((61, 513, 79, 171))
+    for mag, (_, _, freq_bins, time_bins) in zip(mags, cases):
+        Sf, cf, StT, ct = _pooling_matrices(*mag.shape, freq_bins, time_bins)
+        want, _ = log_quantize_oracle(mag, freq_bins, time_bins, 1e-6)
+        np.testing.assert_allclose((Sf @ mag.T) / cf @ StT / ct, want, rtol=1e-12, atol=0)
+    assert not any(a.flags.writeable for a in (Sf, cf, StT, ct))
+
+
+def test_cached_features_equal_the_row_pooling_oracle_in_float32(tiny_corpus_dir):
+    manifest = build_manifest(tiny_corpus_dir)
+    cache, errors = featurize_manifest(manifest.records)
+    assert errors == []
+    for rec in manifest.records:
+        clip = list(decode_wav(rec.source_path, 16000))[rec.segment_index]
+        _, want = log_quantize_oracle(stft(clip), 79, 171, 1e-6)
+        assert np.array_equal(cache.vector(rec.clip_id), want.astype(np.float32))
+
+
 def test_band_limited_noise_energy_ordering():
     rng = np.random.default_rng(99)
     spectrum = np.fft.rfft(rng.standard_normal(32000))
@@ -211,6 +245,16 @@ def test_cache_rejects_bad_magic_and_truncation(tmp_path):
     assert len(FeatureCache.load(empty)) == 0
 
 
+def test_cache_rejects_invalid_utf8_ids(tmp_path):
+    path = tmp_path / "feats.efpf"
+    _small_cache().save(path)
+    data = bytearray(path.read_bytes())
+    data[28] = 0xFF  # the first clip id's byte, after its u32 length at 24
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="UTF-8"):
+        FeatureCache.load(path)
+
+
 def test_cache_rejects_duplicate_ids():
     with pytest.raises(DataError):
         FeatureCache(1, 1, ["a", "a"], ["x", "x"], np.zeros((2, 1), dtype=np.float32))
@@ -223,6 +267,11 @@ def test_cache_vector_lookup():
     assert cache.label_of("c") == "y"
     with pytest.raises(DataError):
         cache.vector("nope")
+    with pytest.raises(DataError, match="not in feature cache"):
+        cache.label_of("nope")
+    assert np.array_equal(cache.rows(["d", "a"]), cache.matrix[[3, 0]])
+    with pytest.raises(DataError):
+        cache.rows(["a", "nope"])
 
 
 def test_featurize_manifest_partial_failure(tmp_path, tiny_corpus_dir):

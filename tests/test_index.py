@@ -87,7 +87,7 @@ def test_zero_weight_model_still_indexes():
 def test_self_query_ranks_itself_first_with_score_zero():
     rng = np.random.default_rng(3)
     index = make_index(rng.standard_normal((10, 4)))
-    q = index.embedding_of("c/004#0").astype(np.float64)
+    q = index.vector("c/004#0").astype(np.float64)
     r = query(index, q, "euclidean", k=3)
     assert r.ids[0] == "c/004#0"
     assert r.scores[0] == 0.0
@@ -131,7 +131,7 @@ def test_ties_break_on_ascending_clip_id():
 def test_excluded_clip_never_returned():
     rng = np.random.default_rng(5)
     index = make_index(rng.standard_normal((8, 3)))
-    q = index.embedding_of("c/002#0").astype(np.float64)
+    q = index.vector("c/002#0").astype(np.float64)
     r = query(index, q, "euclidean", k=8, exclude="c/002#0")
     assert "c/002#0" not in r.ids
     assert len(r) == 7
@@ -230,10 +230,10 @@ def test_scores_match_scalar_oracles():
     eu = query(index, q, "euclidean", k=10)
     co = query(index, q, "cosine", k=10)
     for cid, _, score in eu:
-        want = euclidean_oracle(q.tolist(), index.embedding_of(cid).astype(np.float64).tolist())
+        want = euclidean_oracle(q.tolist(), index.vector(cid).astype(np.float64).tolist())
         assert abs(score - want) <= 1e-12
     for cid, _, score in co:
-        want = cosine_oracle(q.tolist(), index.embedding_of(cid).astype(np.float64).tolist())
+        want = cosine_oracle(q.tolist(), index.vector(cid).astype(np.float64).tolist())
         assert abs(score - want) <= 1e-12
 
 
@@ -283,7 +283,7 @@ def test_index_validation():
         )
     index = make_index(np.zeros((2, 3)))
     with pytest.raises(DataError):
-        index.embedding_of("ghost")
+        index.vector("ghost")
     with pytest.raises(DataError):
         index.label_of("ghost")
     with pytest.raises(DataError):

@@ -9,7 +9,6 @@ from efp.pairs import (
     PairExample,
     PairingConfig,
     balanced_pairs,
-    epoch_shuffle,
     load_pairs,
     make_pairs,
     positive_pairs,
@@ -179,20 +178,6 @@ def test_make_pairs_dispatches_on_scheme():
     unbal = make_pairs(clips, PairingConfig(scheme="unbalanced", seed=1))
     assert len(bal) == 12
     assert len(unbal) == 15
-
-
-def test_epoch_shuffle_is_permutation_and_epoch_dependent():
-    pairs = unbalanced_pairs(clips_for({"a": 4, "b": 4}), PairingConfig())
-    s1 = epoch_shuffle(pairs, seed=7, epoch=0)
-    s2 = epoch_shuffle(pairs, seed=7, epoch=0)
-    s3 = epoch_shuffle(pairs, seed=7, epoch=1)
-    assert s1 == s2
-    assert sorted(s1, key=lambda p: (p.clip_a, p.clip_b)) == sorted(
-        pairs, key=lambda p: (p.clip_a, p.clip_b)
-    )
-    assert s3 != s1
-    with pytest.raises(ValueError):
-        epoch_shuffle([], seed=0, epoch=0)
 
 
 def test_pair_csv_round_trip(tmp_path):
