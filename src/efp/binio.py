@@ -17,7 +17,7 @@ from .errors import DataError
 def read_exact(f: BinaryIO, n: int) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise DataError(f"truncated file: wanted {n} bytes, got {len(data)}")
+        raise DataError(f"{f.name}: truncated file: wanted {n} bytes, got {len(data)}")
     return data
 
 
@@ -86,7 +86,7 @@ def read_str(f: BinaryIO) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"string is not valid UTF-8 ({exc})") from None
+        raise DataError(f"{f.name}: string is not valid UTF-8 ({exc})") from None
 
 
 def write_f32_array(f: BinaryIO, a: np.ndarray) -> None:
@@ -101,16 +101,22 @@ def read_f32_array(f: BinaryIO, count: int) -> np.ndarray:
 @contextlib.contextmanager
 def atomic_write(path):
     """Write ``path`` through a temporary file beside it, renamed onto it when
-    the block ends and deleted if the block raises, so ``path`` only ever
-    holds a whole file."""
+    the block ends and deleted if anything fails, so ``path`` only ever holds
+    a whole file. An exception from the block propagates as it is; failing to
+    create, close or rename the file is a DataError that names ``path``."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    in_block = False
     try:
         with open(tmp, "wb") as f:
+            in_block = True
             yield f
+            in_block = False
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and not in_block:
+            raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         raise
 
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: synth, featurize, split, pairs, train, index, query, evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error (bad flags or values), 2 data error
+(bad input, or a file that cannot be read or written), 3 numeric failure.
 Settings resolve as flag > config file (JSON) > EFP_SEED (seed only) > default,
 and one global seed derives each stage's seed by a fixed offset so stages can
 be rerun independently without losing reproducibility.
@@ -95,26 +96,20 @@ def _stage_seed(args, stage: str) -> int:
 
 
 def _stft_config(args) -> StftConfig:
-    try:
-        return StftConfig(
-            fft_size=int(_cfg(args, "fft_size", 1024)),
-            window_ms=int(_cfg(args, "window_ms", 64)),
-            hop_ms=int(_cfg(args, "hop_ms", 32)),
-            window_fn=str(_cfg(args, "window_fn", "hann")),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return StftConfig(
+        fft_size=int(_cfg(args, "fft_size", 1024)),
+        window_ms=int(_cfg(args, "window_ms", 64)),
+        hop_ms=int(_cfg(args, "hop_ms", 32)),
+        window_fn=str(_cfg(args, "window_fn", "hann")),
+    )
 
 
 def _feat_config(args) -> FeatConfig:
-    try:
-        return FeatConfig(
-            freq_bins=int(_cfg(args, "freq_bins", 79)),
-            time_bins=int(_cfg(args, "time_bins", 171)),
-            amplitude_floor=float(_cfg(args, "amplitude_floor", 1e-6)),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return FeatConfig(
+        freq_bins=int(_cfg(args, "freq_bins", 79)),
+        time_bins=int(_cfg(args, "time_bins", 171)),
+        amplitude_floor=float(_cfg(args, "amplitude_floor", 1e-6)),
+    )
 
 
 def _rate(args) -> int:
@@ -123,14 +118,11 @@ def _rate(args) -> int:
 
 def _pairing_config(args) -> pairs.PairingConfig:
     cap = _cfg(args, "max_negatives_per_clip", None)
-    try:
-        return pairs.PairingConfig(
-            scheme=str(_cfg(args, "scheme", "unbalanced")),
-            seed=_stage_seed(args, "pairs"),
-            max_negatives_per_clip=None if cap is None else int(cap),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return pairs.PairingConfig(
+        scheme=str(_cfg(args, "scheme", "unbalanced")),
+        seed=_stage_seed(args, "pairs"),
+        max_negatives_per_clip=None if cap is None else int(cap),
+    )
 
 
 def cmd_synth(args) -> int:
@@ -175,10 +167,7 @@ def cmd_split(args) -> int:
         raise UsageError(f"--ratios must be three comma-separated numbers, got {raw!r}") from None
     if len(parts) != 3:
         raise UsageError(f"--ratios must have exactly three numbers, got {raw!r}")
-    try:
-        split = corpus.split_manifest(manifest, tuple(parts), _stage_seed(args, "split"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    split = corpus.split_manifest(manifest, tuple(parts), _stage_seed(args, "split"))
     split.save(args.out)
     counts = {name: len(split.subset(name)) for name in ("train", "val", "test")}
     print(
@@ -213,18 +202,15 @@ def cmd_train(args) -> int:
     pairing = _pairing_config(args)
     train_pairs = pairs.make_pairs(train_records, pairing)
     val_pairs = pairs.make_pairs(val_records, pairing)
-    try:
-        train_cfg = TrainConfig(
-            epochs=int(_cfg(args, "epochs", 200)),
-            batch_size=int(_cfg(args, "batch_size", 64)),
-            learning_rate=float(_cfg(args, "learning_rate", 1e-3)),
-            optimizer=str(_cfg(args, "optimizer", "adam")),
-            dropout_rate=float(_cfg(args, "dropout", 0.3)),
-            seed=_stage_seed(args, "train"),
-        )
-        loss_cfg = LossConfig(margin=float(_cfg(args, "margin", 1.0)))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    train_cfg = TrainConfig(
+        epochs=int(_cfg(args, "epochs", 200)),
+        batch_size=int(_cfg(args, "batch_size", 64)),
+        learning_rate=float(_cfg(args, "learning_rate", 1e-3)),
+        optimizer=str(_cfg(args, "optimizer", "adam")),
+        dropout_rate=float(_cfg(args, "dropout", 0.3)),
+        seed=_stage_seed(args, "train"),
+    )
+    loss_cfg = LossConfig(margin=float(_cfg(args, "margin", 1.0)))
     result = net.train(train_pairs, val_pairs, cache, train_cfg, loss_cfg)
     result.model.save(args.out)
     history_path = args.history or os.path.splitext(args.out)[0] + "_history.csv"
@@ -436,13 +422,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.config_data = _load_config(getattr(args, "config", None))
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

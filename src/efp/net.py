@@ -6,14 +6,14 @@ FaceNet, arXiv 1503.03832). That keeps pair distances in [0, 2], so the
 contrastive margin stays meaningful and the positive-pair pull cannot shrink
 every embedding towards one point.
 
-Both branches of the twin share one parameter set, so every pair gradient is
-the sum of the contributions backpropagated through each branch. All training
-math runs in float64; models are persisted (and therefore quantized) at
-float32.
+The two branches of the twin are one network with one parameter set, so a
+batch of pairs (X1, X2) runs as one forward and one backward pass over the
+stacked rows [X1; X2]: each weight gradient sums both sides' contributions in
+one GEMM. All training math runs in float64; models are persisted (and
+therefore quantized) at float32.
 
 The training step allocates no parameter-sized array: ``train`` reuses one
-``GradBuffers`` for every batch (the first branch's weight gradients are
-written into it, the second's added through one scratch), and
+``GradBuffers`` for every batch, into which the backward pass writes, and
 ``AdamOptimizer.step`` updates each array in place, ``ADAM_BLOCK`` values at a
 time. Every value is still computed by the same operations in the same order
 as the plain formulas with fresh temporaries, so the results are bit-identical
@@ -100,10 +100,6 @@ class TrainConfig:
     optimizer: str = "adam"
     dropout_rate: float = 0.3
     seed: int = 0
-    # per-feature normalization stats; computed from the training clips
-    # when left unset
-    feature_means: np.ndarray | None = None
-    feature_stds: np.ndarray | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -129,7 +125,7 @@ def init_params(seed: int, layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS) -> Ml
 
 @dataclass
 class ForwardCache:
-    """Per-branch state needed to backpropagate one batch."""
+    """State needed to backpropagate one batch of rows."""
 
     inputs: list[np.ndarray]   # input to each layer, after previous dropout
     gates: list[np.ndarray]    # ReLU derivative per hidden layer (pre-activation > 0)
@@ -209,14 +205,11 @@ def contrastive_loss(y: int, d: float, cfg: LossConfig = LossConfig()) -> float:
 
 
 class GradBuffers:
-    """Gradient arrays shaped like the parameters, reusable across batches,
-    plus one scratch as large as the largest weight for the second branch's
-    weight GEMM."""
+    """Gradient arrays shaped like the parameters, reusable across batches."""
 
     def __init__(self, params: MlpParams):
         self.dws = [np.empty_like(w) for w in params.weights]
         self.dbs = [np.empty_like(b) for b in params.biases]
-        self.scratch = np.empty(max(w.size for w in params.weights))
 
 
 def _backprop_into(
@@ -224,10 +217,9 @@ def _backprop_into(
     cache: ForwardCache,
     grad_out: np.ndarray,
     grads: GradBuffers,
-    add: bool,
 ) -> None:
-    """Write (add=False) or add (add=True) d(loss)/d(params) for one branch,
-    given d(loss)/d(embedding), into grads.
+    """Write d(loss)/d(params), given d(loss)/d(embedding) for every row the
+    forward pass saw, into grads.
 
     Through the normalization e = u/|u| the gradient is (g - e(e.g)) / |u|;
     a zero raw row (embedded as the zero vector) passes no gradient.
@@ -237,14 +229,8 @@ def _backprop_into(
     norms = np.where(cache.norms > 0.0, cache.norms, np.inf)
     delta = (grad_out - e * radial) / norms[:, np.newaxis]
     for l in range(params.n_layers - 1, -1, -1):
-        dw, db = grads.dws[l], grads.dbs[l]
-        if add:
-            dw += np.matmul(delta.T, cache.inputs[l],
-                            out=grads.scratch[: dw.size].reshape(dw.shape))
-            db += delta.sum(axis=0)
-        else:
-            np.matmul(delta.T, cache.inputs[l], out=dw)
-            np.sum(delta, axis=0, out=db)
+        np.matmul(delta.T, cache.inputs[l], out=grads.dws[l])
+        np.sum(delta, axis=0, out=grads.dbs[l])
         if l > 0:
             delta = (delta @ params.weights[l]) * cache.masks[l - 1] * cache.gates[l - 1]
 
@@ -262,31 +248,32 @@ def batch_loss_and_grads(
     """Mean contrastive loss over a batch of pairs plus its exact gradient.
 
     Subgradient conventions: at the hinge (d == margin, y=0) and at d == 0
-    (y=0) the contribution is zero. Gradients flow through both branches and
-    are summed, since the branches share every parameter.
+    (y=0) the contribution is zero. Both sides of every pair go through one
+    forward and one backward pass over the stacked rows [X1; X2], each row
+    with its own dropout mask, so each gradient sums both sides'
+    contributions.
 
     The gradients are written over whatever ``grads`` holds and returned as
     its ``dws``/``dbs``; without ``grads`` they are fresh arrays.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    e1, cache1 = forward_train(params, X1, dropout_rate, rng)
-    e2, cache2 = forward_train(params, X2, dropout_rate, rng)
+    n = len(X1)
+    e, cache = forward_train(params, np.concatenate((X1, X2)), dropout_rate, rng)
     y = np.asarray(y, dtype=np.float64)
-    diff = e1 - e2
+    diff = e[:n] - e[n:]
     d = np.sqrt(np.sum(np.square(diff), axis=1))
     losses, hinge = _contrastive(y, d, loss_cfg.margin)
     loss = float(losses.mean())
-    # d(loss_i)/d(e1_i) = coef_i * (e1_i - e2_i); similar pairs pull together
-    # (coef 1), dissimilar pairs inside the margin push apart
+    # d(loss_i)/d(e1_i) = coef_i * (e1_i - e2_i) = -d(loss_i)/d(e2_i); similar
+    # pairs pull together (coef 1), dissimilar pairs inside the margin push apart
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_coef = np.where(d > 0.0, -hinge / d, 0.0)
     coef = np.where(y == 1.0, 1.0, neg_coef) / len(d)
     grad_e1 = coef[:, np.newaxis] * diff
     if grads is None:
         grads = GradBuffers(params)
-    _backprop_into(params, cache1, grad_e1, grads, add=False)
-    _backprop_into(params, cache2, -grad_e1, grads, add=True)
+    _backprop_into(params, cache, np.concatenate((grad_e1, -grad_e1)), grads)
     return loss, grads.dws, grads.dbs
 
 
@@ -579,11 +566,7 @@ def train(
     X_val = cache.rows(val_ids).astype(np.float64)
     if layer_dims is None:
         layer_dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
-    if train_cfg.feature_means is not None and train_cfg.feature_stds is not None:
-        means = _quantize_f32(train_cfg.feature_means)
-        stds = _quantize_f32(train_cfg.feature_stds)
-    else:
-        means, stds = _feature_stats(X_train)
+    means, stds = _feature_stats(X_train)
     Z_train = (X_train - means) / stds
     Z_val = (X_val - means) / stds
     row_train = {cid: i for i, cid in enumerate(train_ids)}

@@ -200,6 +200,54 @@ def fd_gradients_oracle(weights, biases, x1, x2, y, margin, eps=1e-5):
     return dws, dbs
 
 
+def twin_branch_oracle(weights, biases, X1, X2, y, margin):
+    """Mean contrastive loss of a batch of pairs and its gradient, the way the
+    package computed them before it stacked the twin into one pass: each side
+    forwarded on its own (ReLU hidden layers, no dropout, unit-norm output),
+    backpropagated on its own into fresh arrays, and the two gradients summed.
+    Returns (loss, dws, dbs) with the package's whole-array operations, so the
+    loss can be compared bit for bit."""
+
+    def forward(X):
+        h = np.asarray(X, dtype=np.float64)
+        inputs, gates = [], []
+        for w, b in zip(weights[:-1], biases[:-1]):
+            inputs.append(h)
+            z = h @ w.T + b
+            gates.append(z > 0)
+            h = np.where(z > 0, z, 0.0)
+        inputs.append(h)
+        u = h @ weights[-1].T + biases[-1]
+        norms = np.sqrt(np.sum(np.square(u), axis=1))
+        return u / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis], norms, inputs, gates
+
+    def backprop(branch, grad_out):
+        e, norms, inputs, gates = branch
+        radial = np.sum(e * grad_out, axis=1, keepdims=True)
+        delta = (grad_out - e * radial) / np.where(norms > 0.0, norms, np.inf)[:, np.newaxis]
+        dws, dbs = [None] * len(weights), [None] * len(weights)
+        for layer in range(len(weights) - 1, -1, -1):
+            dws[layer] = delta.T @ inputs[layer]
+            dbs[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer]) * gates[layer - 1]
+        return dws, dbs
+
+    first, second = forward(X1), forward(X2)
+    y = np.asarray(y, dtype=np.float64)
+    diff = first[0] - second[0]
+    d = np.sqrt(np.sum(np.square(diff), axis=1))
+    hinge = np.maximum(0.0, margin - d)
+    loss = float(np.where(y == 1, 0.5 * d * d, 0.5 * hinge * hinge).mean())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(y == 1.0, 1.0, np.where(d > 0.0, -hinge / d, 0.0)) / len(d)
+    grad_e1 = coef[:, np.newaxis] * diff
+    dws1, dbs1 = backprop(first, grad_e1)
+    dws2, dbs2 = backprop(second, -grad_e1)
+    return (loss, [a + b for a, b in zip(dws1, dws2)],
+            [a + b for a, b in zip(dbs1, dbs2)])
+
+
 def adam_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam step (Kingma & Ba, arXiv 1412.6980) over parallel lists of
     arrays, as whole-array expressions that make fresh temporaries; updates

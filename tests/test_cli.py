@@ -307,17 +307,47 @@ def test_invalid_utf8_in_cache_index_and_manifest_exits_2(pipeline, tmp_path, ca
     index = with_ff(pipeline["index"], 56, "index.bin")
     # and the first row's clip id follows the manifest's header line
     manifest = with_ff(pipeline["split"], len(",".join(corpus.MANIFEST_HEADER)) + 1, "m.csv")
+    # a cache whose last row is cut short passes the header's size check
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(Path(pipeline["cache"]).read_bytes()[:-4])
     capsys.readouterr()
     cases = [
-        ["index", "--model", str(pipeline["model"]), "--cache", cache,
-         "--out", str(tmp_path / "i.bin")],
-        ["evaluate", "--index", index, "--out-dir", str(tmp_path / "r")],
-        ["split", "--manifest", manifest, "--out", str(tmp_path / "s.csv")],
+        (["index", "--model", str(pipeline["model"]), "--cache", cache,
+          "--out", str(tmp_path / "i.bin")], cache),
+        (["evaluate", "--index", index, "--out-dir", str(tmp_path / "r")], index),
+        (["split", "--manifest", manifest, "--out", str(tmp_path / "s.csv")], manifest),
+        (["train", "--manifest", str(pipeline["split"]), "--cache", str(cut),
+          "--epochs", "1", "--out", str(tmp_path / "m.bin")], str(cut)),
     ]
-    for argv in cases:
+    for argv, bad_file in cases:
         assert cli.main(argv) == cli.EXIT_DATA, argv
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err, err
+        assert bad_file in err, err
+
+
+def test_unwritable_outputs_exit_2(pipeline, tmp_path, capsys):
+    """An output in a missing directory, or an output directory that is a
+    file, is a data error that names the output, not a traceback."""
+    missing = tmp_path / "nodir"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    capsys.readouterr()
+    cases = [
+        (["featurize", "--manifest", str(pipeline["manifest"]),
+          "--out", str(missing / "x.bin")], missing / "x.bin"),
+        (["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
+          "--epochs", "1", "--out", str(missing / "m.bin")], missing / "m.bin"),
+        (["split", "--manifest", str(pipeline["manifest"]), "--ratios", "0.5,0.25,0.25",
+          "--out", str(missing / "s.csv")], missing / "s.csv"),
+        (["evaluate", "--index", str(pipeline["index"]), "--out-dir", str(a_file)], a_file),
+    ]
+    for argv, out in cases:
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err, err
+        assert str(out) in err and ".tmp" not in err, err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("kind", ["cache", "index", "model"])

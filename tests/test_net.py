@@ -34,6 +34,7 @@ from oracles import (
     fd_gradients_oracle,
     mlp_forward_oracle,
     pair_loss_oracle,
+    twin_branch_oracle,
 )
 
 TINY = (6, 5, 4, 3)
@@ -468,6 +469,29 @@ def test_batch_grads_equal_mean_of_pair_grads():
         assert np.allclose(dbs[l], want_b, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [TINY, net.DEFAULT_LAYER_DIMS], ids=["tiny", "full"])
+def test_stacked_twin_equals_two_branch_oracle(dims):
+    """One pass over [X1; X2] gives the loss of two separate branches bit for
+    bit (each row's values come from the same operations) and their summed
+    gradients up to summation order."""
+    rng = np.random.default_rng(25)
+    params = tiny_params(25, dims)
+    for b in params.biases:
+        b += rng.uniform(-0.05, 0.05, size=b.shape)
+    X1 = rng.standard_normal((8, dims[0]))
+    X2 = rng.standard_normal((8, dims[0]))
+    X2[:2] = X1[:2]  # d == 0: no gradient from a dissimilar pair, a pull from a similar one
+    y = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    loss, dws, dbs = batch_loss_and_grads(params, X1, X2, y, LossConfig(margin=1.5))
+    want_loss, want_w, want_b = twin_branch_oracle(
+        params.weights, params.biases, X1, X2, y, 1.5)
+    assert loss == want_loss
+    assert loss > 0.0
+    for got, want in zip(dws + dbs, want_w + want_b):
+        assert np.abs(want).max() > 0.0
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_pair_loss_agrees_with_oracle():
     rng = np.random.default_rng(23)
     params = tiny_params(23)
@@ -490,7 +514,7 @@ def test_grad_buffers_are_overwritten_and_fresh_grads_are_not_shared():
     args = (params, X1, X2, y, LossConfig(margin=2.0), 0.3)
     loss, dws, dbs = batch_loss_and_grads(*args, np.random.default_rng(3))
     grads = GradBuffers(params)
-    for a in grads.dws + grads.dbs + [grads.scratch]:
+    for a in grads.dws + grads.dbs:
         a.fill(np.nan)
     got_loss, got_w, got_b = batch_loss_and_grads(*args, np.random.default_rng(3), grads)
     assert got_loss == loss
@@ -502,8 +526,9 @@ def test_grad_buffers_are_overwritten_and_fresh_grads_are_not_shared():
 
 def test_train_calls_the_traced_functions_once_per_batch(monkeypatch):
     """Per batch, ``train`` calls ``net.batch_loss_and_grads`` (as a module
-    global) on 2-D pair rows, which calls ``net.forward_train`` once per
-    branch, and then ``AdamOptimizer.step`` once: the calls a profiler wraps
+    global) on 2-D pair rows, which calls ``net.forward_train`` once on the
+    stacked rows of both sides, and then ``AdamOptimizer.step`` once: the
+    calls a profiler wraps
     to time the forward pass, the backward pass and the optimizer step."""
     calls = []
 
@@ -523,7 +548,7 @@ def test_train_calls_the_traced_functions_once_per_batch(monkeypatch):
     train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))
     n_batches = cfg.epochs * -(-len(pairs) // cfg.batch_size)
     names = [name for name, _ in calls]
-    assert names == ["batch", "forward", "forward", "step"] * n_batches
+    assert names == ["batch", "forward", "step"] * n_batches
     for name, args in calls:
         if name == "batch":
             assert args[1].ndim == 2 and args[2].ndim == 2
