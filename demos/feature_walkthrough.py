@@ -26,7 +26,7 @@ print(f"strongest bin {peak} -> {peak * RATE / stft_cfg.fft_size:.0f} Hz")
 
 # log-spaced pooling on both axes, then a log amplitude scale
 feat_cfg = FeatConfig()
-feature = log_quantize(spec, feat_cfg, clip_id=clip.clip_id)
+feature = log_quantize(spec, feat_cfg)
 print(f"pooled to {feat_cfg.freq_bins} bands x {feat_cfg.time_bins} time bins")
 print(f"flat vector: {feature.values.shape[0]} values "
       f"({feat_cfg.freq_bins} x {feat_cfg.time_bins})")

@@ -27,7 +27,7 @@ balanced = make_pairs(records, PairingConfig(scheme="balanced", seed=0))
 n_neg = sum(1 for p in balanced if p.label == 0)
 print(f"\nbalanced scheme: {len(balanced)} pairs, "
       f"{len(positives)} positive / {n_neg} negative")
-print("one drawn cross-class pair per anchor, cycling the corpus, no repeats:")
+print("a seeded uniform draw from the cross-class pairs, no repeats:")
 for p in [q for q in balanced if q.label == 0][:4]:
     print(f"  {p.clip_a}  ~  {p.clip_b}")
 

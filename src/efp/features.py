@@ -76,8 +76,6 @@ class LogSpecFeature:
     """Flattened log-spectrogram of one clip, frequency-major."""
 
     values: np.ndarray
-    clip_id: str
-    class_label: str | None = None
 
 
 def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
@@ -140,12 +138,7 @@ def _pooling_matrices(n_frames: int, n_bins: int, freq_bins: int, time_bins: int
     return out
 
 
-def log_quantize(
-    spec: np.ndarray,
-    cfg: FeatConfig = FeatConfig(),
-    clip_id: str = "",
-    class_label: str | None = None,
-) -> LogSpecFeature:
+def log_quantize(spec: np.ndarray, cfg: FeatConfig = FeatConfig()) -> LogSpecFeature:
     """Reduce a complex spectrogram to the flat log-magnitude feature vector.
 
     Frequency bins 1..Nyquist are mean-pooled into cfg.freq_bins log-spaced
@@ -160,19 +153,14 @@ def log_quantize(
     mag = np.abs(np.asarray(spec))
     Sf, cf, StT, ct = _pooling_matrices(*mag.shape, cfg.freq_bins, cfg.time_bins)
     values = np.log((Sf @ mag.T) / cf @ StT / ct + cfg.amplitude_floor)
-    return LogSpecFeature(values=values.reshape(-1), clip_id=clip_id, class_label=class_label)
+    return LogSpecFeature(values=values.reshape(-1))
 
 
 def featurize_clip(
-    clip: PcmClip,
-    stft_cfg: StftConfig = StftConfig(),
-    feat_cfg: FeatConfig = FeatConfig(),
-    class_label: str | None = None,
+    clip: PcmClip, stft_cfg: StftConfig = StftConfig(), feat_cfg: FeatConfig = FeatConfig()
 ) -> LogSpecFeature:
     """stft followed by log_quantize; pure and deterministic."""
-    return log_quantize(
-        stft(clip, stft_cfg), feat_cfg, clip_id=clip.clip_id, class_label=class_label
-    )
+    return log_quantize(stft(clip, stft_cfg), feat_cfg)
 
 
 @dataclass
@@ -239,10 +227,9 @@ def featurize_manifest(
             rec = wanted.pop(i, None)
             if rec is None:
                 continue
-            feat = featurize_clip(clip, stft_cfg, feat_cfg, class_label=rec.class_label)
+            rows.append(featurize_clip(clip, stft_cfg, feat_cfg).values.astype(np.float32))
             ids.append(rec.clip_id)
             labels.append(rec.class_label)
-            rows.append(feat.values.astype(np.float32))
         for rec in sorted(wanted.values(), key=lambda r: r.segment_index):
             errors.append(f"{path}: segment {rec.segment_index} not present in decoded audio")
     matrix = np.asarray(rows, dtype=np.float32).reshape(len(rows), feat_cfg.dim)

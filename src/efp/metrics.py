@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,36 +18,34 @@ DEFAULT_K_VALUES = tuple(range(1, 31))
 DEFAULT_HEADLINE_K = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevanceList:
     """0/1 relevance of one query's ranked results.
 
+    bits is held as a read-only bool array (any 0/1 sequence is accepted),
+    and precision as the read-only curve hits-so-far / rank, computed once.
     m_j is the number of relevant items that exist in the database for this
-    query, which can exceed sum(bits) when the ranking was truncated.
+    query, which can exceed the hits in bits when the ranking was truncated.
     """
 
-    bits: tuple[int, ...]
+    bits: np.ndarray
     m_j: int
+    precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not set(self.bits) <= {0, 1}:
+        bits = np.asarray(self.bits)
+        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
             raise ValueError("relevance bits must be 0 or 1")
         if self.m_j < 0:
             raise ValueError("m_j must be >= 0")
-        if sum(self.bits) > self.m_j:
-            raise ValueError(f"{sum(self.bits)} hits exceed m_j={self.m_j}")
-
-
-def _precision_curve(rel: RelevanceList) -> tuple[np.ndarray, np.ndarray]:
-    """The bits as booleans, and the precision at each rank: hits so far / rank."""
-    bits = np.array(rel.bits, dtype=bool)
-    return bits, np.cumsum(bits) / np.arange(1, len(bits) + 1)
-
-
-def _mean_at_hits(bits: np.ndarray, precision: np.ndarray, m_j: int) -> float:
-    # a running sum in rank order, as a loop adds; np.sum pairs terms and rounds differently
-    terms = np.where(bits, precision, 0.0)
-    return float(np.cumsum(terms)[-1]) / m_j if len(terms) else 0.0
+        bits = bits.astype(bool)
+        hits = np.cumsum(bits)
+        if len(bits) and hits[-1] > self.m_j:
+            raise ValueError(f"{hits[-1]} hits exceed m_j={self.m_j}")
+        precision = hits / np.arange(1, len(bits) + 1)
+        for name, value in (("bits", bits), ("precision", precision)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def average_precision(rel: RelevanceList) -> float:
@@ -57,15 +55,16 @@ def average_precision(rel: RelevanceList) -> float:
     """
     if rel.m_j == 0:
         raise UnscorableQuery("no relevant items exist for this query")
-    return _mean_at_hits(*_precision_curve(rel), rel.m_j)
+    # a running sum in rank order, as a loop adds; np.sum pairs terms and rounds differently
+    terms = np.where(rel.bits, rel.precision, 0.0)
+    return float(np.cumsum(terms)[-1]) / rel.m_j if len(terms) else 0.0
 
 
 def precision_at_first_hit(rel: RelevanceList) -> float:
     """1/rank of the first relevant result."""
-    bits, precision = _precision_curve(rel)
-    if not bits.any():
+    if not rel.bits.any():
         raise UnscorableQuery("no relevant item appears in the ranking")
-    return float(precision[bits.argmax()])
+    return float(rel.precision[rel.bits.argmax()])
 
 
 def precision_at_k(rel: RelevanceList, k: int) -> float:
@@ -75,7 +74,7 @@ def precision_at_k(rel: RelevanceList, k: int) -> float:
     if k > len(rel.bits):
         logger.warning("k=%d exceeds ranking length %d, clamping", k, len(rel.bits))
         k = len(rel.bits)
-    return sum(rel.bits[:k]) / k
+    return float(rel.precision[k - 1])
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def relevance_for_query(index: EmbeddingIndex, clip_id: str, measure: str) -> Re
     order = rank(index, index.matrix[row : row + 1], measure)[0]
     order = order[order != row]
     same = index.label_codes[order] == index.label_codes[row]
-    return RelevanceList(bits=tuple(same.view(np.int8).tolist()), m_j=int(same.sum()))
+    return RelevanceList(bits=same, m_j=int(np.count_nonzero(same)))
 
 
 def evaluate_all(
@@ -146,12 +145,11 @@ def evaluate_all(
             logger.warning("query %r has no same-class clip in the database, skipping", cid)
             n_unscorable += 1
             continue
-        bits, precision = _precision_curve(rel)
-        aps.append(_mean_at_hits(bits, precision, rel.m_j))
-        first_hits.append(float(precision[bits.argmax()]))
-        for k, value in zip(per_k, precision[k_rows].tolist()):
+        aps.append(average_precision(rel))
+        first_hits.append(precision_at_first_hit(rel))
+        for k, value in zip(per_k, rel.precision[k_rows].tolist()):
             per_k[k].append(value)
-        headline = float(precision[clamped[headline_k] - 1])
+        headline = precision_at_k(rel, clamped[headline_k])
         per_class.setdefault(index.label_of(cid), []).append(headline)
     if not aps:
         raise DataError("no scorable queries: every query's class is a singleton")

@@ -177,10 +177,6 @@ def forward_eval(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return _unit_rows(h @ params.weights[-1].T + params.biases[-1])[0]
 
 
-def embed_one(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    return forward_eval(params, np.asarray(x, dtype=np.float64)[np.newaxis, :])[0]
-
-
 def pair_distance(e1: np.ndarray, e2: np.ndarray) -> float:
     """Euclidean distance between two embeddings."""
     e1 = np.asarray(e1, dtype=np.float64)
@@ -275,78 +271,6 @@ def batch_loss_and_grads(
         grads = GradBuffers(params)
     _backprop_into(params, cache, np.concatenate((grad_e1, -grad_e1)), grads)
     return loss, grads.dws, grads.dbs
-
-
-def pair_loss_and_grads(
-    params: MlpParams,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y: int,
-    loss_cfg: LossConfig,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Single-pair convenience wrapper around batch_loss_and_grads."""
-    return batch_loss_and_grads(
-        params,
-        np.asarray(x1, dtype=np.float64)[np.newaxis, :],
-        np.asarray(x2, dtype=np.float64)[np.newaxis, :],
-        np.array([y]),
-        loss_cfg,
-        dropout_rate,
-        rng,
-    )
-
-
-def grad_check(
-    params: MlpParams,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    y: int,
-    loss_cfg: LossConfig = LossConfig(),
-    eps: float = 1e-5,
-    max_coords: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Dropout is disabled. With max_coords set, that many coordinates are
-    sampled (seeded) instead of sweeping every parameter; intended for
-    spot-checking the full-size network.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    _, dws, dbs = pair_loss_and_grads(params, x1, x2, y, loss_cfg)
-
-    def loss_now() -> float:
-        e1 = embed_one(params, x1)
-        e2 = embed_one(params, x2)
-        return contrastive_loss(y, pair_distance(e1, e2), loss_cfg)
-
-    coords = []
-    for l in range(params.n_layers):
-        coords.extend(("w", l, i) for i in range(params.weights[l].size))
-        coords.extend(("b", l, i) for i in range(params.biases[l].size))
-    if max_coords is not None and len(coords) > max_coords:
-        rng = np.random.default_rng([seed])
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picks]
-    max_rel = 0.0
-    for kind, l, i in coords:
-        arr = params.weights[l] if kind == "w" else params.biases[l]
-        grad = dws[l] if kind == "w" else dbs[l]
-        flat = arr.reshape(-1)
-        saved = flat[i]
-        flat[i] = saved + eps
-        loss_hi = loss_now()
-        flat[i] = saved - eps
-        loss_lo = loss_now()
-        flat[i] = saved
-        numeric = (loss_hi - loss_lo) / (2.0 * eps)
-        analytic = grad.reshape(-1)[i]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-        max_rel = max(max_rel, rel)
-    return max_rel
 
 
 class SgdOptimizer:

@@ -53,10 +53,6 @@ def _by_class(clips: Iterable[ClipRecord]) -> dict[str, list[str]]:
     return grouped
 
 
-def _canonical(a: str, b: str, label: int) -> PairExample:
-    return PairExample(min(a, b), max(a, b), label)
-
-
 def positive_pairs(clips: Sequence[ClipRecord]) -> list[PairExample]:
     """All same-class pairs, label 1, each once with clip_a < clip_b."""
     out: list[PairExample] = []
@@ -68,67 +64,41 @@ def positive_pairs(clips: Sequence[ClipRecord]) -> list[PairExample]:
 
 
 def _all_negative_pairs(grouped: dict[str, list[str]]) -> list[PairExample]:
-    out: list[PairExample] = []
-    labels = sorted(grouped)
-    for la, lb in itertools.combinations(labels, 2):
-        for a in grouped[la]:
-            for b in grouped[lb]:
-                out.append(_canonical(a, b, 0))
-    out.sort(key=lambda p: (p.clip_a, p.clip_b))
-    return out
+    """Every cross-class pair, label 0, in canonical (clip_a, clip_b) order."""
+    label_of = {cid: label for label, ids in grouped.items() for cid in ids}
+    ids = sorted(label_of)
+    return [
+        PairExample(a, b, 0)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if label_of[a] != label_of[b]
+    ]
+
+
+def _positives_and_negatives(
+    clips: Sequence[ClipRecord], scheme: str
+) -> tuple[list[PairExample], list[PairExample]]:
+    grouped = _by_class(clips)
+    if len(grouped) < 2:
+        raise DataError(f"{scheme} pairing needs at least 2 classes")
+    return positive_pairs(clips), _all_negative_pairs(grouped)
 
 
 def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
-    """All positives plus an equal number of seeded random cross-class negatives.
+    """All positives plus an equal number of cross-class negatives.
 
-    Negatives are drawn without replacement: each clip in turn is paired
-    with a random clip of another class, redrawing on duplicates.
+    The negatives are a seeded uniform draw, without replacement, from the
+    unbalanced scheme's negatives, kept in their canonical order.
     """
-    grouped = _by_class(clips)
-    if len(grouped) < 2:
-        raise DataError("balanced pairing needs at least 2 classes")
-    positives = positive_pairs(clips)
-    n_ids = sum(len(v) for v in grouped.values())
-    n_cross = (n_ids * (n_ids - 1)) // 2 - len(positives)
-    if n_cross < len(positives):
+    positives, negatives = _positives_and_negatives(clips, "balanced")
+    if len(negatives) < len(positives):
         raise DataError(
-            f"corpus has only {n_cross} distinct cross-class pairs but "
+            f"corpus has only {len(negatives)} distinct cross-class pairs but "
             f"{len(positives)} positives; cannot balance"
         )
     rng = np.random.default_rng([cfg.seed])
-    all_ids = sorted(cid for ids in grouped.values() for cid in ids)
-    label_of = {cid: label for label, ids in grouped.items() for cid in ids}
-    others: dict[str, list[str]] = {
-        label: sorted(cid for other, ids in grouped.items() if other != label for cid in ids)
-        for label in grouped
-    }
-    chosen: set[tuple[str, str]] = set()
-    negatives: list[PairExample] = []
-    anchor_cycle = itertools.cycle(all_ids)
-    while len(negatives) < len(positives):
-        anchor = next(anchor_cycle)
-        pool = others[label_of[anchor]]
-        for _ in range(1000):
-            partner = pool[int(rng.integers(len(pool)))]
-            key = (min(anchor, partner), max(anchor, partner))
-            if key not in chosen:
-                chosen.add(key)
-                negatives.append(PairExample(key[0], key[1], 0))
-                break
-        else:
-            # this anchor's partners are all used up; fall back to drawing
-            # uniformly from whatever cross-class pairs remain
-            remaining = [
-                p for p in _all_negative_pairs(grouped)
-                if (p.clip_a, p.clip_b) not in chosen
-            ]
-            take = len(positives) - len(negatives)
-            picks = rng.choice(len(remaining), size=take, replace=False)
-            for idx in sorted(int(i) for i in picks):
-                p = remaining[idx]
-                chosen.add((p.clip_a, p.clip_b))
-                negatives.append(p)
-    return positives + negatives
+    picks = rng.choice(len(negatives), size=len(positives), replace=False)
+    return positives + [negatives[int(i)] for i in np.sort(picks)]
 
 
 def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
@@ -138,11 +108,7 @@ def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[Pa
     negatives in which it appears on the anchor (clip_a) side, sampled with
     the config seed.
     """
-    grouped = _by_class(clips)
-    if len(grouped) < 2:
-        raise DataError("unbalanced pairing needs at least 2 classes")
-    positives = positive_pairs(clips)
-    negatives = _all_negative_pairs(grouped)
+    positives, negatives = _positives_and_negatives(clips, "unbalanced")
     cap = cfg.max_negatives_per_clip
     if cap is not None:
         rng = np.random.default_rng([cfg.seed])

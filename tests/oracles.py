@@ -1,12 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (plain Python
-loops, no shared code with the package) so that agreement is meaningful.
+loops, no shared code with the package) so that agreement is meaningful. The
+one exception is the last section: single-pair wrappers over ``efp.net`` and
+the finite-difference check of its analytic gradient.
 """
 
 import math
 
 import numpy as np
+
+from efp import net
 
 
 def ap_oracle(bits, m_j):
@@ -328,3 +332,66 @@ def log_quantize_oracle(spec, freq_bins, time_bins, amplitude_floor):
     time_assign = log_bin_assignments_oracle(n_frames, time_bins)
     pooled = pool_rows_oracle(pooled.T, time_assign, time_bins).T
     return pooled, np.log(pooled + amplitude_floor).reshape(-1)
+
+
+# --- Helpers that drive efp.net itself ---------------------------------------
+
+
+def embed_one(params, x):
+    """Eval-mode embedding of one input vector."""
+    return net.forward_eval(params, np.asarray(x, dtype=np.float64)[np.newaxis, :])[0]
+
+
+def pair_loss_and_grads(params, x1, x2, y, loss_cfg, dropout_rate=0.0, rng=None):
+    """Loss and gradients of one pair through net.batch_loss_and_grads."""
+    return net.batch_loss_and_grads(
+        params,
+        np.asarray(x1, dtype=np.float64)[np.newaxis, :],
+        np.asarray(x2, dtype=np.float64)[np.newaxis, :],
+        np.array([y]),
+        loss_cfg,
+        dropout_rate,
+        rng,
+    )
+
+
+def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coords=None, seed=0):
+    """Max relative error of analytic vs central-difference gradients.
+
+    Dropout is disabled. With max_coords set, that many coordinates are
+    sampled (seeded) instead of sweeping every parameter; intended for
+    spot-checking the full-size network.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    _, dws, dbs = pair_loss_and_grads(params, x1, x2, y, loss_cfg)
+
+    def loss_now():
+        e1 = embed_one(params, x1)
+        e2 = embed_one(params, x2)
+        return net.contrastive_loss(y, net.pair_distance(e1, e2), loss_cfg)
+
+    coords = []
+    for l in range(params.n_layers):
+        coords.extend(("w", l, i) for i in range(params.weights[l].size))
+        coords.extend(("b", l, i) for i in range(params.biases[l].size))
+    if max_coords is not None and len(coords) > max_coords:
+        rng = np.random.default_rng([seed])
+        picks = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[int(i)] for i in picks]
+    max_rel = 0.0
+    for kind, l, i in coords:
+        arr = params.weights[l] if kind == "w" else params.biases[l]
+        grad = dws[l] if kind == "w" else dbs[l]
+        flat = arr.reshape(-1)
+        saved = flat[i]
+        flat[i] = saved + eps
+        loss_hi = loss_now()
+        flat[i] = saved - eps
+        loss_lo = loss_now()
+        flat[i] = saved
+        numeric = (loss_hi - loss_lo) / (2.0 * eps)
+        analytic = grad.reshape(-1)[i]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
+        max_rel = max(max_rel, rel)
+    return max_rel

@@ -19,14 +19,13 @@ from efp.net import (
     _feature_stats,
     contrastive_loss,
     forward_eval,
-    grad_check,
     init_params,
     pair_distance,
 )
 from efp.wav import PcmClip
 
 from conftest import fd_checkable_pair
-from oracles import ap_oracle, first_hit_oracle, p_at_k_oracle, ranking_oracle
+from oracles import ap_oracle, first_hit_oracle, grad_check, p_at_k_oracle, ranking_oracle
 
 E2E_SEED = 0
 E2E_EPOCHS = 12

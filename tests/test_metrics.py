@@ -106,6 +106,19 @@ def test_relevance_list_validation():
     assert average_precision(truncated) == pytest.approx(0.2)
 
 
+def test_relevance_list_is_read_only_and_curve_matches_oracle():
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        bits = [int(b) for b in rng.integers(0, 2, size=int(rng.integers(1, 40)))]
+        rel = rl(bits)
+        assert rel.bits.dtype == bool
+        for arr in (rel.bits, rel.precision):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        for k in range(1, len(bits) + 1):
+            assert precision_at_k(rel, k) == p_at_k_oracle(bits, k)
+
+
 def test_metric_bounds_and_perfect_prefix():
     rng = np.random.default_rng(53)
     for _ in range(50):
@@ -268,7 +281,7 @@ def test_relevance_for_query_excludes_self():
     rel = relevance_for_query(index, "a/0#0", "euclidean")
     assert len(rel.bits) == 5
     assert rel.m_j == 2
-    assert rel.bits[:2] == (1, 1)
+    assert rel.bits[:2].tolist() == [True, True]
 
 
 def test_csv_writers(tmp_path):

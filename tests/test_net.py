@@ -15,14 +15,11 @@ from efp.net import (
     TrainConfig,
     batch_loss_and_grads,
     contrastive_loss,
-    embed_one,
     forward_eval,
     forward_train,
-    grad_check,
     init_params,
     make_optimizer,
     pair_distance,
-    pair_loss_and_grads,
     save_history,
     train,
 )
@@ -31,8 +28,11 @@ from efp.pairs import PairExample
 from oracles import (
     adam_step_oracle,
     contrastive_oracle,
+    embed_one,
     fd_gradients_oracle,
+    grad_check,
     mlp_forward_oracle,
+    pair_loss_and_grads,
     pair_loss_oracle,
     twin_branch_oracle,
 )

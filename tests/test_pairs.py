@@ -101,28 +101,38 @@ def test_balanced_negatives_never_repeat():
         assert n_pos == len(got) - n_pos
 
 
-def test_balanced_exhausted_anchor_falls_back(monkeypatch):
-    # 4+2 clips leave only 8 cross-class pairs for 7 negatives; with seed 1
-    # some anchor's partners are all used up mid-draw, which switches the
-    # sampler to enumerating what remains. The result must stay valid.
-    import efp.pairs as pairs_mod
-
-    calls = []
-    orig = pairs_mod._all_negative_pairs
-
-    def spy(grouped):
-        calls.append(1)
-        return orig(grouped)
-
-    monkeypatch.setattr(pairs_mod, "_all_negative_pairs", spy)
+def test_balanced_draw_near_exhaustion_stays_valid():
+    # 4+2 clips leave only 8 cross-class pairs for 7 negatives
     clips = clips_for({"a": 4, "b": 2})
     got = balanced_pairs(clips, PairingConfig(scheme="balanced", seed=1))
-    assert calls, "expected the enumeration fallback to engage"
     n_pos = positive_count_oracle([4, 2])
     assert len(got) == 2 * n_pos
     assert sum(p.label for p in got) == n_pos
     seen = {frozenset((p.clip_a, p.clip_b)) for p in got}
     assert len(seen) == len(got)
+    label_of = {c.clip_id: c.class_label for c in clips}
+    for p in got[n_pos:]:
+        assert label_of[p.clip_a] != label_of[p.clip_b]
+
+
+def test_balanced_at_the_boundary_takes_every_cross_pair():
+    # 3+1 clips: 3 positives and exactly 3 cross-class pairs
+    clips = clips_for({"a": 3, "b": 1})
+    got = balanced_pairs(clips, PairingConfig(scheme="balanced", seed=4))
+    every = unbalanced_pairs(clips, PairingConfig())
+    assert got == every
+    assert len(got) == 6
+
+
+def test_balanced_negatives_are_a_canonical_subset_of_unbalanced():
+    for seed, sizes in enumerate(({"a": 3, "b": 5}, {"a": 4, "b": 7, "c": 2}, {"a": 6, "b": 6})):
+        clips = clips_for(sizes)
+        got = balanced_pairs(clips, PairingConfig(scheme="balanced", seed=seed))
+        every = unbalanced_pairs(clips, PairingConfig())
+        negatives = [p for p in got if p.label == 0]
+        assert set(negatives) <= {p for p in every if p.label == 0}
+        assert negatives == sorted(negatives, key=lambda p: (p.clip_a, p.clip_b))
+        assert [p for p in got if p.label == 1] == positive_pairs(clips)
 
 
 def test_unbalanced_two_by_two_is_every_pair():
