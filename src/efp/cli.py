@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 1 usage error (bad flags or values), 2 data error
 (bad input, or a file that cannot be read or written), 3 numeric failure.
-Settings resolve as flag > config file (JSON) > EFP_SEED (seed only) > default,
-and one global seed derives each stage's seed by a fixed offset so stages can
-be rerun independently without losing reproducibility.
+The flags of the settings in StftConfig, FeatConfig, PairingConfig, TrainConfig
+and LossConfig are made from those dataclasses' fields, and an unset flag keeps
+the field's default. Every optional flag can also be set in a JSON config file
+under its dest name. Settings resolve as flag > config file > EFP_SEED (seed
+only) > default, and one global seed derives each stage's seed by a fixed
+offset so stages can be rerun independently without losing reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -28,7 +32,7 @@ from .features import (
     featurize_clip,
     featurize_manifest,
 )
-from .index import EmbeddingIndex, build_index, query as index_query
+from .index import MEASURES, EmbeddingIndex, build_index, query as index_query
 from .net import LossConfig, SiameseModel, TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -50,90 +54,71 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def _cfg(args, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in args.config_data:
-        return args.config_data[key]
-    return default
-
-
-def _base_seed(args) -> int:
-    value = _cfg(args, "seed", None)
-    if value is None:
-        env = os.environ.get("EFP_SEED")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"EFP_SEED must be an integer, got {env!r}") from None
-    if value is None:
-        return 0
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"seed must be an integer, got {value!r}") from None
+def _file_defaults(command: _Parser, data: dict) -> dict:
+    """The keys that name the command's optional flags, as flag defaults: the
+    text of a string or number, parsed as flag text is, or an on/off bool."""
+    defaults = {}
+    for action in command._actions:
+        key, value = action.dest, data.get(action.dest)
+        if key not in data or not action.option_strings or action.required:
+            continue
+        on_off = action.nargs == 0
+        if on_off != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            kind = "true or false" if on_off else "a string or a number"
+            raise UsageError(f"{key!r} must be {kind}, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{key!r} must be one of {action.choices}, got {value!r}")
+        defaults[key] = value if on_off else str(value)
+    return defaults
 
 
 def _stage_seed(args, stage: str) -> int:
-    return _base_seed(args) + STAGE_SEED_OFFSET[stage]
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("EFP_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"EFP_SEED must be an integer, got {env!r}") from None
+    return seed + STAGE_SEED_OFFSET[stage]
 
 
-def _stft_config(args) -> StftConfig:
-    return StftConfig(
-        fft_size=int(_cfg(args, "fft_size", 1024)),
-        window_ms=int(_cfg(args, "window_ms", 64)),
-        hop_ms=int(_cfg(args, "hop_ms", 32)),
-        window_fn=str(_cfg(args, "window_fn", "hann")),
-    )
+def _flags(*classes) -> _Parser:
+    """A parent parser with a --field-name flag (dest: the field) per field,
+    but for the seed, which derives from --seed."""
+    parser = _Parser(add_help=False)
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            if f.name != "seed":
+                kind = int if f.default is None else type(f.default)
+                parser.add_argument("--" + f.name.replace("_", "-"), type=kind,
+                                    help=f"default {f.default}")
+    return parser
 
 
-def _feat_config(args) -> FeatConfig:
-    return FeatConfig(
-        freq_bins=int(_cfg(args, "freq_bins", 79)),
-        time_bins=int(_cfg(args, "time_bins", 171)),
-        amplitude_floor=float(_cfg(args, "amplitude_floor", 1e-6)),
-    )
+def _config(cls, args, **fixed):
+    """cls from the fixed values and the flags that were set; the rest of its
+    fields keep the dataclass default."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return cls(**given, **fixed)
 
 
-def _rate(args) -> int:
-    return int(_cfg(args, "rate", DEFAULT_RATE_HZ))
-
-
-def _pairing_config(args) -> pairs.PairingConfig:
-    cap = _cfg(args, "max_negatives_per_clip", None)
-    return pairs.PairingConfig(
-        scheme=str(_cfg(args, "scheme", "unbalanced")),
-        seed=_stage_seed(args, "pairs"),
-        max_negatives_per_clip=None if cap is None else int(cap),
-    )
+def _ratios(text: str) -> tuple[float, float, float]:
+    try:
+        train, val, test = (float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need three comma-separated numbers, got {text!r}")
+    return train, val, test
 
 
 def cmd_synth(args) -> int:
-    n_classes = int(_cfg(args, "classes", 5))
-    per_class = int(_cfg(args, "per_class", 40))
-    if n_classes < 2:
-        raise UsageError(f"--classes must be >= 2, got {n_classes}")
-    if per_class < 6:
-        raise UsageError(f"--per-class must be >= 6, got {per_class}")
+    if args.classes < 2:
+        raise UsageError(f"--classes must be >= 2, got {args.classes}")
+    if args.per_class < 6:
+        raise UsageError(f"--per-class must be >= 6, got {args.per_class}")
     manifest = corpus.generate_synthetic(
-        n_classes, per_class, _stage_seed(args, "synth"), args.out, rate_hz=_rate(args)
+        args.classes, args.per_class, _stage_seed(args, "synth"), args.out, rate_hz=args.rate
     )
     manifest_path = os.path.join(args.out, "manifest.csv")
     manifest.save(manifest_path)
@@ -145,10 +130,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    stft_cfg, feat_cfg = _config(StftConfig, args), _config(FeatConfig, args)
     manifest = corpus.Manifest.load(args.manifest)
-    cache, errors = featurize_manifest(
-        manifest.records, _stft_config(args), _feat_config(args), rate_hz=_rate(args)
-    )
+    cache, errors = featurize_manifest(manifest.records, stft_cfg, feat_cfg, rate_hz=args.rate)
     cache.save(args.out)
     print(f"cached {len(cache)} of {len(manifest)} clips -> {args.out}")
     if errors:
@@ -160,29 +144,20 @@ def cmd_featurize(args) -> int:
 
 def cmd_split(args) -> int:
     manifest = corpus.Manifest.load(args.manifest)
-    raw = _cfg(args, "ratios", "0.7,0.1,0.2")
-    try:
-        parts = [float(p) for p in str(raw).split(",")]
-    except ValueError:
-        raise UsageError(f"--ratios must be three comma-separated numbers, got {raw!r}") from None
-    if len(parts) != 3:
-        raise UsageError(f"--ratios must have exactly three numbers, got {raw!r}")
-    split = corpus.split_manifest(manifest, tuple(parts), _stage_seed(args, "split"))
+    split = corpus.split_manifest(manifest, args.ratios, _stage_seed(args, "split"))
     split.save(args.out)
-    counts = {name: len(split.subset(name)) for name in ("train", "val", "test")}
-    print(
-        f"split {len(split)} clips -> train={counts['train']} "
-        f"val={counts['val']} test={counts['test']}; manifest: {args.out}"
-    )
+    counts = " ".join(f"{name}={len(split.subset(name))}" for name in ("train", "val", "test"))
+    print(f"split {len(split)} clips -> {counts}; manifest: {args.out}")
     return EXIT_OK
 
 
 def cmd_pairs(args) -> int:
+    pairing = _config(pairs.PairingConfig, args, seed=_stage_seed(args, "pairs"))
     manifest = corpus.Manifest.load(args.manifest)
     records = manifest.subset(args.split)
     if not records:
         raise DataError(f"manifest has no clips in split {args.split!r}; run split first")
-    pair_list = pairs.make_pairs(records, _pairing_config(args))
+    pair_list = pairs.make_pairs(records, pairing)
     pairs.save_pairs(pair_list, args.out)
     n_pos = sum(p.label for p in pair_list)
     print(
@@ -193,24 +168,17 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_train(args) -> int:
+    pairing = _config(pairs.PairingConfig, args, seed=_stage_seed(args, "pairs"))
+    train_cfg = _config(TrainConfig, args, seed=_stage_seed(args, "train"))
+    loss_cfg = _config(LossConfig, args)
     manifest = corpus.Manifest.load(args.manifest)
     cache = FeatureCache.load(args.cache)
     train_records = manifest.subset("train")
     val_records = manifest.subset("val")
     if not train_records or not val_records:
         raise DataError("manifest lacks train or val clips; run split first")
-    pairing = _pairing_config(args)
     train_pairs = pairs.make_pairs(train_records, pairing)
     val_pairs = pairs.make_pairs(val_records, pairing)
-    train_cfg = TrainConfig(
-        epochs=int(_cfg(args, "epochs", 200)),
-        batch_size=int(_cfg(args, "batch_size", 64)),
-        learning_rate=float(_cfg(args, "learning_rate", 1e-3)),
-        optimizer=str(_cfg(args, "optimizer", "adam")),
-        dropout_rate=float(_cfg(args, "dropout", 0.3)),
-        seed=_stage_seed(args, "train"),
-    )
-    loss_cfg = LossConfig(margin=float(_cfg(args, "margin", 1.0)))
     result = net.train(train_pairs, val_pairs, cache, train_cfg, loss_cfg)
     result.model.save(args.out)
     history_path = args.history or os.path.splitext(args.out)[0] + "_history.csv"
@@ -246,10 +214,10 @@ def _query_embedding(args, model: SiameseModel, idx: EmbeddingIndex) -> np.ndarr
         raise UsageError("provide exactly one of --wav or --clip-id")
     if args.clip_id is not None:
         return idx.vector(args.clip_id).astype(np.float64)
-    clips = list(wav.decode_wav(args.wav, _rate(args)))
+    clips = list(wav.decode_wav(args.wav, args.rate))
     if not clips:
         raise DataError(f"{args.wav}: no full 2-second clip to query with")
-    feat = featurize_clip(clips[0], _stft_config(args), _feat_config(args))
+    feat = featurize_clip(clips[0], _config(StftConfig, args), _config(FeatConfig, args))
     if feat.values.shape[0] != model.input_dim:
         raise DataError(
             f"feature settings produce {feat.values.shape[0]} dims but the "
@@ -265,7 +233,7 @@ def cmd_query(args) -> int:
         logger.warning("index was built by a different model than %s", args.model)
     q = _query_embedding(args, model, idx)
     exclude = args.clip_id if (args.exclude_self and args.clip_id) else None
-    ranking = index_query(idx, q, args.measure, int(_cfg(args, "k", 10)), exclude)
+    ranking = index_query(idx, q, args.measure, args.k, exclude)
     print("rank,clip_id,class_label,score")
     for rank, (cid, label, score) in enumerate(ranking, start=1):
         print(f"{rank},{cid},{label},{score!r}")
@@ -274,17 +242,15 @@ def cmd_query(args) -> int:
 
 def cmd_evaluate(args) -> int:
     idx = EmbeddingIndex.load(args.index)
-    k_max = int(_cfg(args, "k_max", 30))
-    headline_k = int(_cfg(args, "headline_k", metrics.DEFAULT_HEADLINE_K))
-    if k_max < 1 or headline_k < 1:
+    if args.k_max < 1 or args.headline_k < 1:
         raise UsageError("--k-max and --headline-k must be >= 1")
-    measures = ["euclidean", "cosine"] if args.measure == "both" else [args.measure]
+    measures = MEASURES if args.measure == "both" else [args.measure]
     os.makedirs(args.out_dir, exist_ok=True)
     reports = []
     for measure in measures:
         start = time.perf_counter()
         report = metrics.evaluate_all(
-            idx, None, measure, range(1, k_max + 1), headline_k
+            idx, None, measure, range(1, args.k_max + 1), args.headline_k
         )
         elapsed = time.perf_counter() - start
         logger.info(
@@ -300,7 +266,7 @@ def cmd_evaluate(args) -> int:
         )
         print(
             f"{measure}: MAP={report.map:.4f} MP1={report.mp1:.4f} "
-            f"MP{headline_k}={report.headline_mpk:.4f} "
+            f"MP{args.headline_k}={report.headline_mpk:.4f} "
             f"({report.n_queries} queries, {report.n_unscorable} unscorable)"
         )
     metrics.save_scalars_csv(reports, os.path.join(args.out_dir, "scalars.csv"))
@@ -312,28 +278,9 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
     common.add_argument("--config", default=None, help="JSON config file")
-
-    feat_flags = _Parser(add_help=False)
-    feat_flags.add_argument("--rate", type=int, default=None, help="sample rate in Hz")
-    feat_flags.add_argument("--fft-size", type=int, default=None, dest="fft_size")
-    feat_flags.add_argument("--window-ms", type=int, default=None, dest="window_ms")
-    feat_flags.add_argument("--hop-ms", type=int, default=None, dest="hop_ms")
-    feat_flags.add_argument(
-        "--window-fn", choices=("hann", "rectangular"), default=None, dest="window_fn"
-    )
-    feat_flags.add_argument("--freq-bins", type=int, default=None, dest="freq_bins")
-    feat_flags.add_argument("--time-bins", type=int, default=None, dest="time_bins")
-    feat_flags.add_argument(
-        "--amplitude-floor", type=float, default=None, dest="amplitude_floor"
-    )
-
-    pair_flags = _Parser(add_help=False)
-    pair_flags.add_argument(
-        "--scheme", choices=pairs.SCHEMES, default=None, help="pairing scheme"
-    )
-    pair_flags.add_argument(
-        "--max-negatives-per-clip", type=int, default=None, dest="max_negatives_per_clip"
-    )
+    rate = _Parser(add_help=False)
+    rate.add_argument("--rate", type=int, default=DEFAULT_RATE_HZ, help="sample rate in Hz")
+    feat, pairing = _flags(StftConfig, FeatConfig), _flags(pairs.PairingConfig)
 
     parser = _Parser(
         prog="efp",
@@ -341,45 +288,35 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", type=int, default=None, dest="per_class")
-    p.add_argument("--rate", type=int, default=None)
+    p = sub.add_parser("synth", parents=[common, rate], help="generate a synthetic corpus")
+    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser(
-        "featurize", parents=[common, feat_flags], help="build the feature cache"
-    )
+    p = sub.add_parser("featurize", parents=[common, rate, feat], help="build the feature cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="feature cache file")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("split", parents=[common], help="assign train/val/test splits")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--ratios", default=None, help="train,val,test (default 0.7,0.1,0.2)")
+    p.add_argument("--ratios", type=_ratios, default=corpus.SPLIT_RATIOS, help="train,val,test")
     p.add_argument("--out", required=True, help="output manifest CSV")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser(
-        "pairs", parents=[common, pair_flags], help="export a labeled pair list"
-    )
+    p = sub.add_parser("pairs", parents=[common, pairing], help="export a labeled pair list")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="train")
     p.add_argument("--out", required=True, help="output pairs CSV")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser(
-        "train", parents=[common, pair_flags], help="train the twin network"
+        "train", parents=[common, pairing, _flags(TrainConfig, LossConfig)],
+        help="train the twin network",
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True, help="feature cache file")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", default=None, help="training-history CSV path")
     p.set_defaults(func=cmd_train)
@@ -393,34 +330,58 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser(
-        "query", parents=[common, feat_flags], help="rank the database for one query"
+        "query", parents=[common, rate, feat], help="rank the database for one query"
     )
     p.add_argument("--model", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--wav", default=None, help="query WAV file (first 2 s clip is used)")
-    p.add_argument("--clip-id", default=None, dest="clip_id", help="query by stored clip")
-    p.add_argument("--measure", choices=("euclidean", "cosine"), default="euclidean")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--exclude-self", action="store_true", dest="exclude_self")
+    p.add_argument("--clip-id", help="query by stored clip")
+    p.add_argument("--measure", choices=MEASURES, default="euclidean")
+    p.add_argument("-k", type=int, default=10)
+    p.add_argument("--exclude-self", action="store_true")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("evaluate", parents=[common], help="compute retrieval metrics")
     p.add_argument("--index", required=True)
-    p.add_argument("--measure", choices=("euclidean", "cosine", "both"), default="both")
-    p.add_argument("--k-max", type=int, default=None, dest="k_max")
-    p.add_argument("--headline-k", type=int, default=None, dest="headline_k")
-    p.add_argument("--out-dir", default=".", dest="out_dir")
+    p.add_argument("--measure", choices=(*MEASURES, "both"), default="both")
+    p.add_argument("--k-max", type=int, default=metrics.DEFAULT_K_VALUES[-1])
+    p.add_argument("--headline-k", type=int, default=metrics.DEFAULT_HEADLINE_K)
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_evaluate)
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv, and with --config parse it again with the file's keys as the
+    command's flag defaults, so that a flag still wins over the file."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    path = args.config
+    if path is None:
+        return args
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    command = parser.commands[args.command]
+    try:
+        command.set_defaults(**_file_defaults(command, data))
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        raise UsageError(f"config file {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.config_data = _load_config(getattr(args, "config", None))
+        args = _parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ logger = logging.getLogger(__name__)
 SPLITS = ("train", "val", "test", "unassigned")
 MANIFEST_HEADER = ["clip_id", "source_path", "segment_index", "class_label", "split"]
 CHORD_NOTES = 6
+SPLIT_RATIOS = (0.7, 0.1, 0.2)  # train, val, test
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class ClipRecord:
 @dataclass(frozen=True)
 class Manifest:
     records: tuple[ClipRecord, ...]
-    split_seed: int | None = None
 
     def __post_init__(self):
         ids = {r.clip_id for r in self.records}
@@ -146,7 +146,7 @@ def build_manifest(root_dir, rate_hz: int = DEFAULT_RATE_HZ) -> Manifest:
 
 def split_manifest(
     m: Manifest,
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> Manifest:
     """Assign train/val/test per class at the source-file level.
@@ -185,7 +185,7 @@ def split_manifest(
         replace(r, split=split_of_file[(r.class_label, r.source_path)])
         for r in m.records
     )
-    return Manifest(records=new_records, split_seed=seed)
+    return Manifest(records=new_records)
 
 
 def _rms(x: np.ndarray) -> float:

@@ -71,6 +71,8 @@ def precision_at_k(rel: RelevanceList, k: int) -> float:
     """Fraction of the top k results that are relevant."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not len(rel.bits):
+        raise UnscorableQuery("the ranking is empty")
     if k > len(rel.bits):
         logger.warning("k=%d exceeds ranking length %d, clamping", k, len(rel.bits))
         k = len(rel.bits)

@@ -98,7 +98,7 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    dropout_rate: float = 0.3
+    dropout: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
@@ -106,9 +106,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.optimizer not in ("sgd", "adam"):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -346,12 +346,13 @@ class AdamOptimizer:
         p -= s1
 
 
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
+
+
 def make_optimizer(name: str, params: MlpParams, learning_rate: float):
-    if name == "sgd":
-        return SgdOptimizer(params, learning_rate)
-    if name == "adam":
-        return AdamOptimizer(params, learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}")
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](params, learning_rate)
 
 
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
@@ -522,7 +523,7 @@ def train(
                 Z_train[tr_b[idx]],
                 tr_y[idx],
                 loss_cfg,
-                train_cfg.dropout_rate,
+                train_cfg.dropout,
                 dropout_rng,
                 grads,
             )

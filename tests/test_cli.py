@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import inspect
+import json
 import logging
 import shutil
 import sys
@@ -575,3 +576,112 @@ def test_small_training_run_does_not_collapse(tmp_path):
     assert final_val < all_equal
     rows = EmbeddingIndex.load(index).matrix
     assert len(np.unique(rows, axis=0)) > 1
+
+
+# Each subcommand's option strings, frozen from the parser as it stood before
+# its settings flags were generated from the config dataclasses.
+OPTION_STRINGS = {
+    "synth": "--classes --config --help --out --per-class --rate --seed -h",
+    "featurize": "--amplitude-floor --config --fft-size --freq-bins --help --hop-ms "
+                 "--manifest --out --rate --seed --time-bins --window-fn --window-ms -h",
+    "split": "--config --help --manifest --out --ratios --seed -h",
+    "pairs": "--config --help --manifest --max-negatives-per-clip --out --scheme --seed "
+             "--split -h",
+    "train": "--batch-size --cache --config --dropout --epochs --help --history "
+             "--learning-rate --manifest --margin --max-negatives-per-clip --optimizer "
+             "--out --scheme --seed -h",
+    "index": "--cache --config --help --manifest --model --out --seed --split -h",
+    "query": "--amplitude-floor --clip-id --config --exclude-self --fft-size --freq-bins "
+             "--help --hop-ms --index --measure --model --rate --seed --time-bins --wav "
+             "--window-fn --window-ms -h -k",
+    "evaluate": "--config --headline-k --help --index --k-max --measure --out-dir --seed -h",
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
+    commands = cli.build_parser().commands
+    assert set(commands) == set(OPTION_STRINGS)
+    for name, command in commands.items():
+        got = sorted(o for action in command._actions for o in action.option_strings)
+        assert got == OPTION_STRINGS[name].split(), name
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+def test_help_renders_for_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def _write_config(tmp_path, name, settings):
+    path = tmp_path / name
+    path.write_text(json.dumps(settings))
+    return str(path)
+
+
+def test_featurize_settings_from_file_match_flags(pipeline, tmp_path):
+    config = _write_config(tmp_path, "cfg.json", {"hop_ms": 16, "freq_bins": 40})
+    base = ["featurize", "--manifest", str(pipeline["manifest"]), "--out"]
+    assert cli.main(base + [str(tmp_path / "file.bin"), "--config", config]) == 0
+    assert cli.main(base + [str(tmp_path / "flag.bin"), "--hop-ms", "16",
+                            "--freq-bins", "40"]) == 0
+    from_file = (tmp_path / "file.bin").read_bytes()
+    assert from_file == (tmp_path / "flag.bin").read_bytes()
+    assert from_file != pipeline["cache"].read_bytes()
+
+
+def test_train_settings_from_file_match_flags(pipeline, tmp_path):
+    config = _write_config(tmp_path, "cfg.json", {"dropout": 0.0, "margin": 0.5})
+    base = ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
+            "--epochs", "1", "--seed", "7", "--out"]
+    assert cli.main(base + [str(tmp_path / "file.bin"), "--config", config]) == 0
+    assert cli.main(base + [str(tmp_path / "flag.bin"), "--dropout", "0.0",
+                            "--margin", "0.5"]) == 0
+    assert cli.main(base + [str(tmp_path / "default.bin")]) == 0
+    from_file = (tmp_path / "file.bin").read_bytes()
+    assert from_file == (tmp_path / "flag.bin").read_bytes()
+    assert from_file != (tmp_path / "default.bin").read_bytes()
+
+
+def test_query_settings_from_file_match_flags(pipeline, tmp_path, capsys):
+    config = _write_config(tmp_path, "cfg.json", {"measure": "cosine", "k": 3})
+    query_id = corpus.Manifest.load(pipeline["split"]).subset("test")[0].clip_id
+    base = ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
+            "--clip-id", query_id]
+    capsys.readouterr()
+    outputs = []
+    for extra in (["--config", config], ["--measure", "cosine", "-k", "3"],
+                  ["--measure", "euclidean", "-k", "3"]):
+        assert cli.main(base + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 3
+    assert outputs[0] != outputs[2]
+
+
+def test_malformed_config_values_exit_1_and_name_the_key(pipeline, tmp_path, capsys):
+    train = ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
+             "--out", str(tmp_path / "m.bin")]
+    query = ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
+             "--clip-id", "x"]
+    index = ["index", "--model", str(pipeline["model"]), "--cache", str(pipeline["cache"]),
+             "--out", str(tmp_path / "i.bin")]
+    cases = [(train, {"epochs": bad}) for bad in (None, {}, [1], True, 2.7)]
+    cases += [(train, {"optimizer": "rmsprop"}), (query, {"exclude_self": "yes"}),
+              (query, {"measure": "manhattan"}), (index, {"split": "bogus"})]
+    capsys.readouterr()
+    for i, (argv, settings) in enumerate(cases):
+        config = _write_config(tmp_path, f"bad{i}.json", settings)
+        assert cli.main(argv + ["--config", config]) == cli.EXIT_USAGE, settings
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        assert next(iter(settings)) in err, err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_keys_of_other_commands_are_ignored(tmp_path):
+    config = _write_config(tmp_path, "cfg.json", {"epochs": 4})
+    rc = cli.main(["synth", "--classes", "2", "--per-class", "6", "--config", config,
+                   "--out", str(tmp_path / "c")])
+    assert rc == 0

@@ -85,6 +85,8 @@ def test_precision_at_k():
         assert precision_at_k(rl(bits), k) == p_at_k_oracle(bits, k)
     with pytest.raises(ValueError):
         precision_at_k(rl([1]), 0)
+    with pytest.raises(UnscorableQuery):
+        precision_at_k(rl([]), 1)
 
 
 def test_precision_at_k_clamps_with_warning(caplog):

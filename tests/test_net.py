@@ -356,7 +356,7 @@ def test_train_with_identical_features_leaves_params_at_init():
         matrix=np.stack([row, row]),
     )
     pairs = [PairExample("c/a#0", "c/b#0", 1)]
-    cfg = TrainConfig(epochs=3, batch_size=4, optimizer="sgd", dropout_rate=0.0, seed=2)
+    cfg = TrainConfig(epochs=3, batch_size=4, optimizer="sgd", dropout=0.0, seed=2)
     result = train(pairs, pairs, cache, cfg, layer_dims=(dim, 6, 4))
     init = init_params(2, (dim, 6, 4))
     for got, want in zip(result.model.params.weights, init.weights):
@@ -374,7 +374,7 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(dropout_rate=1.0)
+        TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="lbfgs")
 
