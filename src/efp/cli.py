@@ -112,6 +112,15 @@ def _ratios(text: str) -> tuple[float, float, float]:
     return train, val, test
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+
+
 def cmd_synth(args) -> int:
     if args.classes < 2:
         raise UsageError(f"--classes must be >= 2, got {args.classes}")
@@ -279,7 +288,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
     common.add_argument("--config", default=None, help="JSON config file")
     rate = _Parser(add_help=False)
-    rate.add_argument("--rate", type=int, default=DEFAULT_RATE_HZ, help="sample rate in Hz")
+    rate.add_argument("--rate", type=_positive_int, default=DEFAULT_RATE_HZ, help="sample rate in Hz")
     feat, pairing = _flags(StftConfig, FeatConfig), _flags(pairs.PairingConfig)
 
     parser = _Parser(

@@ -63,8 +63,8 @@ class FeatConfig:
     def __post_init__(self):
         if self.freq_bins < 1 or self.time_bins < 1:
             raise ValueError("freq_bins and time_bins must be positive")
-        if self.amplitude_floor <= 0:
-            raise ValueError("amplitude_floor must be positive")
+        if not 0 < self.amplitude_floor < np.inf:
+            raise ValueError(f"amplitude_floor must be positive and finite, got {self.amplitude_floor}")
 
     @property
     def dim(self) -> int:

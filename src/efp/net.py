@@ -12,12 +12,17 @@ stacked rows [X1; X2]: each weight gradient sums both sides' contributions in
 one GEMM. All training math runs in float64; models are persisted (and
 therefore quantized) at float32.
 
-The training step allocates no parameter-sized array: ``train`` reuses one
-``GradBuffers`` for every batch, into which the backward pass writes, and
-``AdamOptimizer.step`` updates each array in place, ``ADAM_BLOCK`` values at a
-time. Every value is still computed by the same operations in the same order
-as the plain formulas with fresh temporaries, so the results are bit-identical
-to them.
+The parameters are one float64 vector, ``MlpParams.flat``, laid out w0, b0,
+w1, b1, ... as a model file stores them; each layer's weight and bias are
+views of it. So the gradient is a second ``MlpParams`` that the backward pass
+writes into, the optimizers' ``step(grad)`` takes one flat gradient, and
+copying, range-checking, quantizing, saving and loading the parameters are
+each one operation on one array. The training step allocates no
+parameter-sized array: ``train`` reuses one gradient for every batch, and
+``AdamOptimizer.step`` updates the vector in place, ``ADAM_BLOCK`` values at
+a time. Every value is still computed by the same operations in the same
+order as the plain formulas with fresh temporaries, so the results are
+bit-identical to them.
 """
 
 from __future__ import annotations
@@ -50,37 +55,63 @@ _F32_MAX = float(np.finfo(np.float32).max)
 ADAM_BLOCK = 32768
 
 
-@dataclass
+def _param_count(layer_dims: Sequence[int]) -> int:
+    return sum(a * b + b for a, b in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 class MlpParams:
-    """Weights and biases; weights[l] has shape (out_dim, in_dim)."""
+    """Weights and biases in one C-contiguous float64 vector, ``flat``, laid
+    out w0, b0, w1, b1, ... (each row-major). ``weights[l]``, of shape
+    (out_dim, in_dim), and ``biases[l]`` are views of ``flat``.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Built from per-layer arrays, the values are copied into a new ``flat``;
+    ``from_flat`` wraps a vector as it is.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be non-empty parallel lists")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError(f"layer {l}: weight {w.shape} and bias {b.shape} disagree")
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and w.shape[1] != weights[l - 1].shape[0]:
                 raise ValueError(f"layer {l}: input dim breaks the layer chain")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l}: non-finite parameters")
+        dims = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+        layers = [a for pair in zip(weights, biases) for a in pair]
+        self._adopt(dims, np.concatenate(layers, axis=None, dtype=np.float64))
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    @classmethod
+    def from_flat(cls, layer_dims: Sequence[int], flat: np.ndarray) -> "MlpParams":
+        """The parameters of a network of these widths as views of ``flat``,
+        a C-contiguous float64 vector of their count, which is not copied."""
+        params = cls.__new__(cls)
+        params._adopt(tuple(layer_dims), flat)
+        return params
+
+    def _adopt(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
+        if flat.shape != (_param_count(dims),) or flat.dtype != np.float64 \
+                or not flat.flags.c_contiguous:
+            raise ValueError(f"{flat.dtype} vector of shape {flat.shape} cannot hold "
+                             f"the parameters of layers {dims}")
+        # a NaN or inf makes the min or the max non-finite; neither allocates
+        if flat.size and not np.isfinite([flat.min(), flat.max()]).all():
+            raise ValueError("non-finite parameters")
+        self.layer_dims = dims
+        self.flat = flat
+        self.weights, self.biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            stop = start + fan_out * fan_in
+            self.weights.append(flat[start:stop].reshape(fan_out, fan_in))
+            self.biases.append(flat[stop : stop + fan_out])
+            start = stop + fan_out
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams.from_flat(self.layer_dims, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -88,8 +119,8 @@ class LossConfig:
     margin: float = 1.0
 
     def __post_init__(self):
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not 0 < self.margin < np.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +137,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.optimizer not in OPTIMIZERS:
@@ -115,12 +148,12 @@ class TrainConfig:
 def init_params(seed: int, layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS) -> MlpParams:
     """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
     rng = np.random.default_rng([seed])
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+    params = MlpParams.from_flat(layer_dims, np.zeros(_param_count(layer_dims)))
+    for w in params.weights:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights=weights, biases=biases)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 @dataclass
@@ -177,15 +210,6 @@ def forward_eval(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return _unit_rows(h @ params.weights[-1].T + params.biases[-1])[0]
 
 
-def pair_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Euclidean distance between two embeddings."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise ValueError(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
-    return float(np.sqrt(np.sum(np.square(e1 - e2))))
-
-
 def _contrastive(y, d, margin: float):
     """Per-pair contrastive loss, 0.5*d^2 where y == 1 and 0.5*hinge^2
     elsewhere, and the hinge max(0, margin - d)."""
@@ -193,26 +217,11 @@ def _contrastive(y, d, margin: float):
     return np.where(y == 1, 0.5 * d * d, 0.5 * hinge * hinge), hinge
 
 
-def contrastive_loss(y: int, d: float, cfg: LossConfig = LossConfig()) -> float:
-    """0.5*d^2 for similar pairs; 0.5*max(0, margin - d)^2 for dissimilar."""
-    if d < 0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    return float(_contrastive(y, d, cfg.margin)[0])
-
-
-class GradBuffers:
-    """Gradient arrays shaped like the parameters, reusable across batches."""
-
-    def __init__(self, params: MlpParams):
-        self.dws = [np.empty_like(w) for w in params.weights]
-        self.dbs = [np.empty_like(b) for b in params.biases]
-
-
 def _backprop_into(
     params: MlpParams,
     cache: ForwardCache,
     grad_out: np.ndarray,
-    grads: GradBuffers,
+    grads: MlpParams,
 ) -> None:
     """Write d(loss)/d(params), given d(loss)/d(embedding) for every row the
     forward pass saw, into grads.
@@ -225,8 +234,8 @@ def _backprop_into(
     norms = np.where(cache.norms > 0.0, cache.norms, np.inf)
     delta = (grad_out - e * radial) / norms[:, np.newaxis]
     for l in range(params.n_layers - 1, -1, -1):
-        np.matmul(delta.T, cache.inputs[l], out=grads.dws[l])
-        np.sum(delta, axis=0, out=grads.dbs[l])
+        np.matmul(delta.T, cache.inputs[l], out=grads.weights[l])
+        np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = (delta @ params.weights[l]) * cache.masks[l - 1] * cache.gates[l - 1]
 
@@ -239,8 +248,8 @@ def batch_loss_and_grads(
     loss_cfg: LossConfig,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    grads: GradBuffers | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    grads: MlpParams | None = None,
+) -> tuple[float, MlpParams]:
     """Mean contrastive loss over a batch of pairs plus its exact gradient.
 
     Subgradient conventions: at the hinge (d == margin, y=0) and at d == 0
@@ -249,8 +258,8 @@ def batch_loss_and_grads(
     with its own dropout mask, so each gradient sums both sides'
     contributions.
 
-    The gradients are written over whatever ``grads`` holds and returned as
-    its ``dws``/``dbs``; without ``grads`` they are fresh arrays.
+    The gradient, shaped like ``params``, is written over whatever ``grads``
+    holds and returned as it; without ``grads`` it is a fresh ``MlpParams``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -268,9 +277,9 @@ def batch_loss_and_grads(
     coef = np.where(y == 1.0, 1.0, neg_coef) / len(d)
     grad_e1 = coef[:, np.newaxis] * diff
     if grads is None:
-        grads = GradBuffers(params)
+        grads = MlpParams.from_flat(params.layer_dims, np.zeros_like(params.flat))
     _backprop_into(params, cache, np.concatenate((grad_e1, -grad_e1)), grads)
-    return loss, grads.dws, grads.dbs
+    return loss, grads
 
 
 class SgdOptimizer:
@@ -278,19 +287,14 @@ class SgdOptimizer:
         self.params = params
         self.lr = learning_rate
 
-    def step(self, dws: list[np.ndarray], dbs: list[np.ndarray]) -> None:
-        for l in range(self.params.n_layers):
-            self.params.weights[l] -= self.lr * dws[l]
-            self.params.biases[l] -= self.lr * dbs[l]
+    def step(self, grad: np.ndarray) -> None:
+        """Update the parameters in place from a gradient shaped like ``flat``."""
+        self.params.flat -= self.lr * grad
 
 
 class AdamOptimizer:
-    """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments.
-
-    The parameters must be C-contiguous arrays, as ``init_params`` and
-    ``MlpParams.copy`` make them: ``step`` updates them in place through
-    flat views.
-    """
+    """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments ``m``
+    and ``v``, each one vector shaped like ``params.flat``."""
 
     def __init__(
         self,
@@ -300,33 +304,25 @@ class AdamOptimizer:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if not all(a.flags.c_contiguous for a in params.weights + params.biases):
-            raise ValueError("Adam needs C-contiguous parameter arrays")
         self.params = params
         self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m_w = [np.zeros(w.shape) for w in params.weights]
-        self.v_w = [np.zeros(w.shape) for w in params.weights]
-        self.m_b = [np.zeros(b.shape) for b in params.biases]
-        self.v_b = [np.zeros(b.shape) for b in params.biases]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self._scratch = np.empty((2, ADAM_BLOCK))
 
-    def step(self, dws: list[np.ndarray], dbs: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """Update the parameters in place from a gradient shaped like ``flat``."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for l in range(self.params.n_layers):
-            for target, g, m, v in (
-                (self.params.weights[l], dws[l], self.m_w[l], self.v_w[l]),
-                (self.params.biases[l], dbs[l], self.m_b[l], self.v_b[l]),
-            ):
-                p, g, m, v = (a.reshape(-1) for a in (target, g, m, v))
-                for start in range(0, p.size, ADAM_BLOCK):
-                    block = slice(start, start + ADAM_BLOCK)
-                    self._update(p[block], g[block], m[block], v[block], c1, c2)
+        p = self.params.flat
+        for start in range(0, p.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            self._update(p[block], grad[block], self.m[block], self.v[block], c1, c2)
 
     def _update(self, p, g, m, v, c1: float, c2: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
@@ -349,12 +345,6 @@ class AdamOptimizer:
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
-def make_optimizer(name: str, params: MlpParams, learning_rate: float):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}")
-    return OPTIMIZERS[name](params, learning_rate)
-
-
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
@@ -365,7 +355,9 @@ class SiameseModel:
 
     All arrays are quantized to float32-representable values on construction
     so that a model behaves identically before and after a save/load
-    round-trip.
+    round-trip. A model file stores, after the magic and version, the layer
+    count and widths (u32), the margin (f64), the means and stds and then
+    ``params.flat``, each as one float32 block.
     """
 
     params: MlpParams
@@ -374,10 +366,8 @@ class SiameseModel:
     feature_stds: np.ndarray
 
     def __post_init__(self):
-        self.params = MlpParams(
-            weights=[_quantize_f32(w) for w in self.params.weights],
-            biases=[_quantize_f32(b) for b in self.params.biases],
-        )
+        self.params = MlpParams.from_flat(self.params.layer_dims,
+                                          _quantize_f32(self.params.flat))
         self.feature_means = _quantize_f32(self.feature_means)
         self.feature_stds = _quantize_f32(self.feature_stds)
         if self.feature_means.shape != self.feature_stds.shape or self.feature_means.ndim != 1:
@@ -416,9 +406,7 @@ class SiameseModel:
         binio.write_f64(buf, self.margin)
         binio.write_f32_array(buf, self.feature_means)
         binio.write_f32_array(buf, self.feature_stds)
-        for w, b in zip(self.params.weights, self.params.biases):
-            binio.write_f32_array(buf, w)
-            binio.write_f32_array(buf, b)
+        binio.write_f32_array(buf, self.params.flat)
         return buf.getvalue()
 
     def fingerprint(self) -> bytes:
@@ -436,18 +424,13 @@ class SiameseModel:
                 raise DataError(f"{path}: implausible layer count {n_dims}")
             dims = [binio.read_u32(f) for _ in range(n_dims)]
             margin = binio.read_f64(f)
-            # stats, then each layer's weights and biases, all float32
-            n_values = 2 * dims[0] + sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-            binio.check_fits(f, n_values, 4, path)
+            # stats, then the parameters in the order of MlpParams.flat, all float32
+            binio.check_fits(f, 2 * dims[0] + _param_count(dims), 4, path)
             means = binio.read_f32_array(f, dims[0]).astype(np.float64)
             stds = binio.read_f32_array(f, dims[0]).astype(np.float64)
-            weights, biases = [], []
-            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-                w = binio.read_f32_array(f, fan_out * fan_in).astype(np.float64)
-                weights.append(w.reshape(fan_out, fan_in))
-                biases.append(binio.read_f32_array(f, fan_out).astype(np.float64))
+            flat = binio.read_f32_array(f, _param_count(dims)).astype(np.float64)
         try:
-            params = MlpParams(weights=weights, biases=biases)
+            params = MlpParams.from_flat(dims, flat)
             return cls(params=params, margin=margin,
                        feature_means=means, feature_stds=stds)
         except ValueError as exc:
@@ -504,8 +487,8 @@ def train(
     va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
 
     params = init_params(train_cfg.seed, layer_dims)
-    optimizer = make_optimizer(train_cfg.optimizer, params, train_cfg.learning_rate)
-    grads = GradBuffers(params)
+    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate)
+    grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
@@ -517,7 +500,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, train_cfg.batch_size):
             idx = perm[start : start + train_cfg.batch_size]
-            loss, dws, dbs = batch_loss_and_grads(
+            loss, grads = batch_loss_and_grads(
                 params,
                 Z_train[tr_a[idx]],
                 Z_train[tr_b[idx]],
@@ -531,14 +514,13 @@ def train(
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {start // train_cfg.batch_size}"
                 )
-            optimizer.step(dws, dbs)
+            optimizer.step(grads.flat)
             loss_sum += loss * len(idx)
         train_loss = loss_sum / n
         # the embeddings are bounded, so a diverging run can keep a finite
         # loss while its parameters run past what a model file can hold
-        # (NaN fails both comparisons; min and max allocate nothing)
-        if not all(-_F32_MAX <= a.min() and a.max() <= _F32_MAX
-                   for a in params.weights + params.biases):
+        # (NaN fails every comparison; min and max allocate nothing)
+        if not -_F32_MAX <= params.flat.min() <= params.flat.max() <= _F32_MAX:
             raise NumericError(
                 f"parameters non-finite or beyond float32 range at epoch {epoch}"
             )
@@ -550,12 +532,10 @@ def train(
         history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            for kept, now in zip(best_params.weights + best_params.biases,
-                                 params.weights + params.biases):
-                np.copyto(kept, now)
+            np.copyto(best_params.flat, params.flat)
             best_epoch = epoch
     # free the training state before the model makes its own float32-rounded copy
-    del params, optimizer, grads, dws, dbs
+    del params, optimizer, grads
     model = SiameseModel(
         params=best_params,
         margin=loss_cfg.margin,

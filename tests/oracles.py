@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (plain Python
 loops, no shared code with the package) so that agreement is meaningful. The
-one exception is the last section: single-pair wrappers over ``efp.net`` and
-the finite-difference check of its analytic gradient.
+one exception is the last section: single-pair wrappers over ``efp.net`` (the
+pair distance and loss the gradient checks difference, and its loss and
+gradients) and the finite-difference check of its analytic gradient.
 """
 
 import math
@@ -337,6 +338,22 @@ def log_quantize_oracle(spec, freq_bins, time_bins, amplitude_floor):
 # --- Helpers that drive efp.net itself ---------------------------------------
 
 
+def pair_distance(e1, e2):
+    """Euclidean distance between two embeddings."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    if e1.shape != e2.shape:
+        raise ValueError(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
+    return float(np.sqrt(np.sum(np.square(e1 - e2))))
+
+
+def contrastive_loss(y, d, cfg=net.LossConfig()):
+    """The package's per-pair contrastive loss for one pair at distance d."""
+    if d < 0:
+        raise ValueError(f"distance must be >= 0, got {d}")
+    return float(net._contrastive(y, d, cfg.margin)[0])
+
+
 def embed_one(params, x):
     """Eval-mode embedding of one input vector."""
     return net.forward_eval(params, np.asarray(x, dtype=np.float64)[np.newaxis, :])[0]
@@ -364,26 +381,20 @@ def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coord
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    _, dws, dbs = pair_loss_and_grads(params, x1, x2, y, loss_cfg)
+    _, grads = pair_loss_and_grads(params, x1, x2, y, loss_cfg)
 
     def loss_now():
         e1 = embed_one(params, x1)
         e2 = embed_one(params, x2)
-        return net.contrastive_loss(y, net.pair_distance(e1, e2), loss_cfg)
+        return contrastive_loss(y, pair_distance(e1, e2), loss_cfg)
 
-    coords = []
-    for l in range(params.n_layers):
-        coords.extend(("w", l, i) for i in range(params.weights[l].size))
-        coords.extend(("b", l, i) for i in range(params.biases[l].size))
+    coords = range(params.flat.size)
     if max_coords is not None and len(coords) > max_coords:
         rng = np.random.default_rng([seed])
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picks]
+        coords = rng.choice(len(coords), size=max_coords, replace=False)
     max_rel = 0.0
-    for kind, l, i in coords:
-        arr = params.weights[l] if kind == "w" else params.biases[l]
-        grad = dws[l] if kind == "w" else dbs[l]
-        flat = arr.reshape(-1)
+    flat = params.flat
+    for i in coords:
         saved = flat[i]
         flat[i] = saved + eps
         loss_hi = loss_now()
@@ -391,7 +402,7 @@ def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coord
         loss_lo = loss_now()
         flat[i] = saved
         numeric = (loss_hi - loss_lo) / (2.0 * eps)
-        analytic = grad.reshape(-1)[i]
+        analytic = grads.flat[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         max_rel = max(max_rel, rel)
     return max_rel

@@ -17,15 +17,21 @@ from efp.net import (
     LossConfig,
     SiameseModel,
     _feature_stats,
-    contrastive_loss,
     forward_eval,
     init_params,
-    pair_distance,
 )
 from efp.wav import PcmClip
 
 from conftest import fd_checkable_pair
-from oracles import ap_oracle, first_hit_oracle, grad_check, p_at_k_oracle, ranking_oracle
+from oracles import (
+    ap_oracle,
+    contrastive_loss,
+    first_hit_oracle,
+    grad_check,
+    p_at_k_oracle,
+    pair_distance,
+    ranking_oracle,
+)
 
 E2E_SEED = 0
 E2E_EPOCHS = 12

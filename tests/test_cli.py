@@ -250,6 +250,42 @@ def test_usage_errors_exit_1(pipeline, tmp_path):
         assert cli.main(argv) == cli.EXIT_USAGE, argv
 
 
+@pytest.mark.parametrize("command,rate", [
+    ("synth", "0"), ("featurize", "0"), ("featurize", "-5"), ("query", "0")])
+def test_rate_must_be_a_positive_integer(pipeline, tmp_path, capsys, command, rate):
+    """A sample rate that is not a positive integer is a parse error, before
+    any clip is written or decoded."""
+    wav = corpus.Manifest.load(pipeline["split"]).subset("test")[0].source_path
+    argv = {
+        "synth": ["synth", "--classes", "2", "--per-class", "6",
+                  "--out", str(tmp_path / "c")],
+        "featurize": ["featurize", "--manifest", str(pipeline["manifest"]),
+                      "--out", str(tmp_path / "f.bin")],
+        "query": ["query", "--model", str(pipeline["model"]),
+                  "--index", str(pipeline["index"]), "--wav", wav],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--rate", rate]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--rate" in err and "Traceback" not in err, err
+    assert not (tmp_path / "c").exists() and not (tmp_path / "f.bin").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "-1"), ("--learning-rate", "nan"), ("--margin", "inf"),
+    ("--amplitude-floor", "nan"), ("--amplitude-floor", "inf")])
+def test_settings_that_are_not_positive_and_finite_exit_1(pipeline, tmp_path, capsys,
+                                                          flag, value):
+    if flag == "--amplitude-floor":
+        argv = ["featurize", "--manifest", str(pipeline["manifest"])]
+    else:
+        argv = ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"])]
+    out = tmp_path / "out.bin"
+    assert cli.main(argv + [flag, value, "--out", str(out)]) == cli.EXIT_USAGE
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_efp_seed_env_exits_1(tmp_path, monkeypatch):
     monkeypatch.setenv("EFP_SEED", "not-a-number")
     rc = cli.main(["synth", "--classes", "2", "--per-class", "6",

@@ -193,8 +193,9 @@ def test_stft_config_validation():
         StftConfig(window_fn="hamming")
     with pytest.raises(ValueError):
         FeatConfig(freq_bins=0)
-    with pytest.raises(ValueError):
-        FeatConfig(amplitude_floor=0.0)
+    for floor in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FeatConfig(amplitude_floor=floor)
 
 
 def _small_cache():

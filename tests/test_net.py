@@ -7,19 +7,15 @@ from efp.features import FeatureCache
 from efp.net import (
     ADAM_BLOCK,
     AdamOptimizer,
-    GradBuffers,
     LossConfig,
     MlpParams,
     SgdOptimizer,
     SiameseModel,
     TrainConfig,
     batch_loss_and_grads,
-    contrastive_loss,
     forward_eval,
     forward_train,
     init_params,
-    make_optimizer,
-    pair_distance,
     save_history,
     train,
 )
@@ -27,11 +23,13 @@ from efp.pairs import PairExample
 
 from oracles import (
     adam_step_oracle,
+    contrastive_loss,
     contrastive_oracle,
     embed_one,
     fd_gradients_oracle,
     grad_check,
     mlp_forward_oracle,
+    pair_distance,
     pair_loss_and_grads,
     pair_loss_oracle,
     twin_branch_oracle,
@@ -165,8 +163,9 @@ def test_loss_identities_exact():
         assert abs(contrastive_loss(y, d, LossConfig(margin=m)) - contrastive_oracle(y, d, m)) <= 1e-12
     with pytest.raises(ValueError):
         contrastive_loss(1, -0.1)
-    with pytest.raises(ValueError):
-        LossConfig(margin=0.0)
+    for margin in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LossConfig(margin=margin)
 
 
 def test_swapping_branches_preserves_loss():
@@ -176,8 +175,8 @@ def test_swapping_branches_preserves_loss():
         x1 = rng.standard_normal(TINY[0])
         x2 = rng.standard_normal(TINY[0])
         y = trial % 2
-        l12, _, _ = pair_loss_and_grads(params, x1, x2, y, LossConfig())
-        l21, _, _ = pair_loss_and_grads(params, x2, x1, y, LossConfig())
+        l12, _ = pair_loss_and_grads(params, x1, x2, y, LossConfig())
+        l21, _ = pair_loss_and_grads(params, x2, x1, y, LossConfig())
         assert abs(l12 - l21) <= 1e-12
 
 
@@ -189,13 +188,13 @@ def test_gradients_vanish_past_margin_and_at_zero_distance():
     d = pair_distance(embed_one(params, x1), embed_one(params, x2))
     assert d > 0
     # dissimilar pair already farther apart than the margin: no pull
-    loss, dws, dbs = pair_loss_and_grads(params, x1, x2, 0, LossConfig(margin=d / 2))
+    loss, grads = pair_loss_and_grads(params, x1, x2, 0, LossConfig(margin=d / 2))
     assert loss == 0.0
-    assert all(np.all(g == 0) for g in dws + dbs)
+    assert np.all(grads.flat == 0)
     # identical similar pair: distance 0, nothing to do
-    loss, dws, dbs = pair_loss_and_grads(params, x1, x1, 1, LossConfig())
+    loss, grads = pair_loss_and_grads(params, x1, x1, 1, LossConfig())
     assert loss == 0.0
-    assert all(np.all(g == 0) for g in dws + dbs)
+    assert np.all(grads.flat == 0)
 
 
 def test_analytic_gradients_match_fd_oracle_arrays():
@@ -204,12 +203,12 @@ def test_analytic_gradients_match_fd_oracle_arrays():
     x1 = rng.standard_normal(TINY[0])
     x2 = rng.standard_normal(TINY[0])
     for y in (0, 1):
-        _, dws, dbs = pair_loss_and_grads(params, x1, x2, y, LossConfig())
+        _, grads = pair_loss_and_grads(params, x1, x2, y, LossConfig())
         weights, biases = as_lists(params)
         ows, obs = fd_gradients_oracle(weights, biases, x1.tolist(), x2.tolist(), y, 1.0)
-        for got, want in zip(dws, ows):
+        for got, want in zip(grads.weights, ows):
             assert np.allclose(got, want, rtol=1e-4, atol=1e-8)
-        for got, want in zip(dbs, obs):
+        for got, want in zip(grads.biases, obs):
             assert np.allclose(got, want, rtol=1e-4, atol=1e-8)
 
 
@@ -235,9 +234,9 @@ def test_single_sgd_step_decreases_loss():
     x2 = rng.standard_normal(TINY[0])
     for lr in (1e-2, 1e-3, 1e-4):
         params = tiny_params(17)
-        before, dws, dbs = pair_loss_and_grads(params, x1, x2, 1, LossConfig())
+        before, grads = pair_loss_and_grads(params, x1, x2, 1, LossConfig())
         assert before > 0
-        SgdOptimizer(params, lr).step(dws, dbs)
+        SgdOptimizer(params, lr).step(grads.flat)
         e1 = embed_one(params, x1)
         e2 = embed_one(params, x2)
         after = contrastive_loss(1, pair_distance(e1, e2))
@@ -246,7 +245,7 @@ def test_single_sgd_step_decreases_loss():
 
 def test_sgd_step_formula():
     params = MlpParams(weights=[np.array([[2.0]])], biases=[np.array([0.5])])
-    SgdOptimizer(params, 0.1).step([np.array([[3.0]])], [np.array([-2.0])])
+    SgdOptimizer(params, 0.1).step(np.array([3.0, -2.0]))
     assert params.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 3.0, abs=1e-15)
     assert params.biases[0][0] == pytest.approx(0.5 + 0.1 * 2.0, abs=1e-15)
 
@@ -255,13 +254,13 @@ def test_adam_step_formula():
     params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     opt = AdamOptimizer(params, learning_rate=0.01)
     g = 3.0
-    opt.step([np.array([[g]])], [np.array([0.0])])
+    opt.step(np.array([g, 0.0]))
     m_hat = (0.1 * g) / (1 - 0.9)
     v_hat = (0.001 * g * g) / (1 - 0.999)
     want = 1.0 - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert params.weights[0][0, 0] == pytest.approx(want, abs=1e-12)
     # second step with the same gradient
-    opt.step([np.array([[g]])], [np.array([0.0])])
+    opt.step(np.array([g, 0.0]))
     m = 0.9 * (0.1 * g) + 0.1 * g
     v = 0.999 * (0.001 * g * g) + 0.001 * g * g
     m_hat = m / (1 - 0.9**2)
@@ -270,34 +269,55 @@ def test_adam_step_formula():
     assert params.weights[0][0, 0] == pytest.approx(want, abs=1e-12)
     assert opt.t == 2
     with pytest.raises(ValueError):
-        make_optimizer("rmsprop", params, 0.1)
+        TrainConfig(optimizer="rmsprop")
 
 
 def test_blocked_adam_equals_whole_array_oracle():
     rng = np.random.default_rng(30)
-    # the weight spans three blocks, the last one partial; the bias is one short block
+    # the vector spans three blocks, the last one partial
     w = rng.standard_normal((7, (2 * ADAM_BLOCK) // 7 + 5))
-    assert w.size > 2 * ADAM_BLOCK and w.size % ADAM_BLOCK
     b = rng.standard_normal(7)
     params = MlpParams(weights=[w], biases=[b])
+    assert params.flat.size > 2 * ADAM_BLOCK and params.flat.size % ADAM_BLOCK
     opt = AdamOptimizer(params, learning_rate=0.01)
-    want = [w.copy(), b.copy()]
-    ms = [np.zeros_like(w), np.zeros_like(b)]
-    vs = [np.zeros_like(w), np.zeros_like(b)]
+    want = [params.flat.copy()]
+    ms = [np.zeros_like(params.flat)]
+    vs = [np.zeros_like(params.flat)]
     for t in range(1, 5):
         gw = rng.standard_normal(w.shape) * 10.0 ** rng.integers(-9, 3, size=w.shape)
         gb = rng.standard_normal(b.shape)
-        opt.step([gw], [gb])
-        adam_step_oracle(want, [gw, gb], ms, vs, t, 0.01)
-        assert all(np.array_equal(g, x) for g, x in zip([w, b], want))
-        assert all(np.array_equal(g, x) for g, x in zip(opt.m_w + opt.m_b, ms))
-        assert all(np.array_equal(g, x) for g, x in zip(opt.v_w + opt.v_b, vs))
+        grad = np.concatenate((gw, gb), axis=None)
+        opt.step(grad)
+        adam_step_oracle(want, [grad], ms, vs, t, 0.01)
+        assert np.array_equal(params.flat, want[0])
+        assert np.array_equal(opt.m, ms[0])
+        assert np.array_equal(opt.v, vs[0])
 
 
-def test_adam_rejects_non_contiguous_parameters():
-    params = MlpParams(weights=[np.ones((3, 4)).T], biases=[np.zeros(4)])
-    with pytest.raises(ValueError):
-        AdamOptimizer(params, learning_rate=0.01)
+def test_params_from_foreign_arrays_are_views_of_their_own_flat():
+    """Non-contiguous or non-float64 inputs are copied into one new C-contiguous
+    float64 vector laid out w0, b0, w1, b1, ...; each layer is a C-contiguous
+    view of it, so an optimizer steps every layer and none of the inputs."""
+    w0 = np.arange(12.0).reshape(3, 4).T            # (4, 3), Fortran order
+    b0 = np.arange(4, dtype=np.float32)
+    w1 = np.arange(20.0).reshape(2, 10)[:, ::-3]    # (2, 4), strided
+    b1 = np.array([0.5, -0.5])
+    inputs = [w0, b0, w1, b1]
+    kept = [a.copy() for a in inputs]
+    params = MlpParams(weights=[w0, w1], biases=[b0, b1])
+    assert params.layer_dims == (3, 4, 2)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert np.array_equal(params.flat, np.concatenate(inputs, axis=None))
+    for view, given in zip([params.weights[0], params.biases[0], params.weights[1],
+                            params.biases[1]], inputs):
+        assert view.flags.c_contiguous and view.dtype == np.float64
+        assert np.shares_memory(view, params.flat)
+        assert not any(np.shares_memory(view, a) for a in inputs)
+        assert np.array_equal(view, given)
+    AdamOptimizer(params, learning_rate=0.01).step(np.ones_like(params.flat))
+    assert all(np.all(view < given) for view, given in zip(
+        [params.weights[0], params.biases[0], params.weights[1], params.biases[1]], kept))
+    assert all(np.array_equal(a, k) for a, k in zip(inputs, kept))
 
 
 def cluster_cache(seed=20, n_per_class=6, dim=10):
@@ -377,6 +397,9 @@ def test_train_rejects_bad_inputs():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="lbfgs")
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=lr)
 
 
 def test_train_aborts_on_numeric_blowup():
@@ -436,6 +459,21 @@ def test_model_load_rejects_corruption(tmp_path):
         SiameseModel.load(huge)
 
 
+def test_model_file_stores_flat_as_one_float32_block(tmp_path):
+    params = init_params(6, (4, 3, 2))
+    model = SiameseModel(params=params, margin=1.0, feature_means=np.zeros(4),
+                         feature_stds=np.ones(4))
+    path = tmp_path / "model.bin"
+    model.save(path)
+    # magic, version, layer count, 3 widths, margin, then 4 means and 4 stds
+    header = 4 + 4 + 4 + 3 * 4 + 8 + 2 * 4 * 4
+    assert path.read_bytes()[header:] == params.flat.astype("<f4").tobytes()
+    loaded = SiameseModel.load(path)
+    assert np.array_equal(loaded.params.flat, model.params.flat)
+    for a in loaded.params.weights + loaded.params.biases:
+        assert np.shares_memory(a, loaded.params.flat)
+
+
 def test_model_validates_stats():
     params = init_params(6, (4, 3, 2))
     with pytest.raises(ValueError):
@@ -459,14 +497,14 @@ def test_batch_grads_equal_mean_of_pair_grads():
     X1 = rng.standard_normal((3, TINY[0]))
     X2 = rng.standard_normal((3, TINY[0]))
     y = np.array([1.0, 0.0, 1.0])
-    loss, dws, dbs = batch_loss_and_grads(params, X1, X2, y, LossConfig())
+    loss, grads = batch_loss_and_grads(params, X1, X2, y, LossConfig())
     single = [pair_loss_and_grads(params, X1[i], X2[i], int(y[i]), LossConfig()) for i in range(3)]
     assert abs(loss - np.mean([s[0] for s in single])) <= 1e-12
     for l in range(params.n_layers):
-        want_w = sum(s[1][l] for s in single) / 3.0
-        want_b = sum(s[2][l] for s in single) / 3.0
-        assert np.allclose(dws[l], want_w, rtol=0, atol=1e-12)
-        assert np.allclose(dbs[l], want_b, rtol=0, atol=1e-12)
+        want_w = sum(s[1].weights[l] for s in single) / 3.0
+        want_b = sum(s[1].biases[l] for s in single) / 3.0
+        assert np.allclose(grads.weights[l], want_w, rtol=0, atol=1e-12)
+        assert np.allclose(grads.biases[l], want_b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dims", [TINY, net.DEFAULT_LAYER_DIMS], ids=["tiny", "full"])
@@ -482,12 +520,12 @@ def test_stacked_twin_equals_two_branch_oracle(dims):
     X2 = rng.standard_normal((8, dims[0]))
     X2[:2] = X1[:2]  # d == 0: no gradient from a dissimilar pair, a pull from a similar one
     y = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    loss, dws, dbs = batch_loss_and_grads(params, X1, X2, y, LossConfig(margin=1.5))
+    loss, grads = batch_loss_and_grads(params, X1, X2, y, LossConfig(margin=1.5))
     want_loss, want_w, want_b = twin_branch_oracle(
         params.weights, params.biases, X1, X2, y, 1.5)
     assert loss == want_loss
     assert loss > 0.0
-    for got, want in zip(dws + dbs, want_w + want_b):
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert np.abs(want).max() > 0.0
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -500,7 +538,7 @@ def test_pair_loss_agrees_with_oracle():
         x1 = rng.standard_normal(TINY[0])
         x2 = rng.standard_normal(TINY[0])
         y = trial % 2
-        got, _, _ = pair_loss_and_grads(params, x1, x2, y, LossConfig())
+        got, _ = pair_loss_and_grads(params, x1, x2, y, LossConfig())
         want = pair_loss_oracle(weights, biases, x1.tolist(), x2.tolist(), y, 1.0)
         assert abs(got - want) <= 1e-12
 
@@ -512,16 +550,15 @@ def test_grad_buffers_are_overwritten_and_fresh_grads_are_not_shared():
     X2 = rng.standard_normal((5, TINY[0]))
     y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
     args = (params, X1, X2, y, LossConfig(margin=2.0), 0.3)
-    loss, dws, dbs = batch_loss_and_grads(*args, np.random.default_rng(3))
-    grads = GradBuffers(params)
-    for a in grads.dws + grads.dbs:
-        a.fill(np.nan)
-    got_loss, got_w, got_b = batch_loss_and_grads(*args, np.random.default_rng(3), grads)
+    loss, fresh = batch_loss_and_grads(*args, np.random.default_rng(3))
+    grads = MlpParams.from_flat(params.layer_dims, np.zeros_like(params.flat))
+    grads.flat.fill(np.nan)
+    got_loss, got = batch_loss_and_grads(*args, np.random.default_rng(3), grads)
     assert got_loss == loss
-    assert all(g is a for g, a in zip(got_w + got_b, grads.dws + grads.dbs))
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got_w + got_b, dws + dbs))
-    _, again_w, again_b = batch_loss_and_grads(*args, np.random.default_rng(3))
-    assert not any(np.shares_memory(a, b) for a in dws + dbs for b in again_w + again_b)
+    assert got is grads
+    assert got.flat.tobytes() == fresh.flat.tobytes()
+    _, again = batch_loss_and_grads(*args, np.random.default_rng(3))
+    assert not np.shares_memory(fresh.flat, again.flat)
 
 
 def test_train_calls_the_traced_functions_once_per_batch(monkeypatch):
