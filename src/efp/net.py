@@ -19,10 +19,20 @@ writes into, the optimizers' ``step(grad)`` takes one flat gradient, and
 copying, range-checking, quantizing, saving and loading the parameters are
 each one operation on one array. The training step allocates no
 parameter-sized array: ``train`` reuses one gradient for every batch, and
-``AdamOptimizer.step`` updates the vector in place, ``ADAM_BLOCK`` values at
-a time. Every value is still computed by the same operations in the same
-order as the plain formulas with fresh temporaries, so the results are
-bit-identical to them.
+both optimizers update the vector in place, ``ADAM_BLOCK`` values at a time.
+Every value is still computed by the same operations in the same order as
+the plain formulas with fresh temporaries, so the results are bit-identical
+to them. The learning rate is a scalar or one rate per coordinate.
+
+The feature pooling copies filled bands and time bins into empty ones, so
+most input columns repeat another (3,363 distinct of 13,509 on the
+acceptance corpus). ``train`` groups the equal columns of its standardized
+rows and trains layer 0 on one column per group: the group's weight column
+holds the sum of its columns' weights and steps with the learning rate times
+the group's size n_c, which is how the sum moves when each of its columns
+takes the same per-coordinate step. At the end it expands the groups back to
+the full width, each column moved by 1/n_c of its group's move, so the model
+file, ``forward_eval`` and ``embed`` see the full-width network.
 """
 
 from __future__ import annotations
@@ -49,9 +59,9 @@ MODEL_VERSION = 2
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
-# Adam walks each array in blocks of this many float64 values (256 KB), so the
-# six block slices one update touches (parameter, gradient, two moments, two
-# scratch) stay in a 2 MB L2 cache between its passes.
+# The optimizers walk each array in blocks of this many float64 values (256 KB),
+# so the block slices one Adam update touches (parameter, gradient, learning
+# rates, two moments, two scratch) stay in a 2 MB L2 cache between its passes.
 ADAM_BLOCK = 32768
 
 
@@ -282,24 +292,44 @@ def batch_loss_and_grads(
     return loss, grads
 
 
+def _blocks(size: int):
+    """Slices that walk ``size`` values ``ADAM_BLOCK`` at a time."""
+    return (slice(start, start + ADAM_BLOCK) for start in range(0, size, ADAM_BLOCK))
+
+
+def _rate(learning_rate: float | np.ndarray, block: slice) -> float | np.ndarray:
+    """The learning rate of the coordinates in ``block``: a scalar applies to
+    every coordinate, a vector shaped like ``flat`` gives one per coordinate."""
+    return learning_rate[block] if np.ndim(learning_rate) else learning_rate
+
+
 class SgdOptimizer:
-    def __init__(self, params: MlpParams, learning_rate: float):
+    """p -= lr * grad, with ``lr`` a scalar or a vector shaped like
+    ``params.flat``."""
+
+    def __init__(self, params: MlpParams, learning_rate: float | np.ndarray):
         self.params = params
         self.lr = learning_rate
+        self._scratch = np.empty(ADAM_BLOCK)
 
     def step(self, grad: np.ndarray) -> None:
         """Update the parameters in place from a gradient shaped like ``flat``."""
-        self.params.flat -= self.lr * grad
+        p = self.params.flat
+        for block in _blocks(p.size):
+            s = self._scratch[: p[block].size]
+            np.multiply(_rate(self.lr, block), grad[block], out=s)
+            p[block] -= s
 
 
 class AdamOptimizer:
     """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments ``m``
-    and ``v``, each one vector shaped like ``params.flat``."""
+    and ``v``, each one vector shaped like ``params.flat``. The learning rate
+    is a scalar or a vector shaped like ``params.flat``."""
 
     def __init__(
         self,
         params: MlpParams,
-        learning_rate: float,
+        learning_rate: float | np.ndarray,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -320,11 +350,11 @@ class AdamOptimizer:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         p = self.params.flat
-        for start in range(0, p.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            self._update(p[block], grad[block], self.m[block], self.v[block], c1, c2)
+        for block in _blocks(p.size):
+            self._update(p[block], grad[block], self.m[block], self.v[block],
+                         _rate(self.lr, block), c1, c2)
 
-    def _update(self, p, g, m, v, c1: float, c2: float) -> None:
+    def _update(self, p, g, m, v, lr, c1: float, c2: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
         p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time."""
         s1, s2 = self._scratch[0, : p.size], self._scratch[1, : p.size]
@@ -334,7 +364,7 @@ class AdamOptimizer:
         np.square(g, out=s1)
         v += np.multiply(1.0 - self.beta2, s1, out=s1)
         np.divide(m, c1, out=s1)
-        np.multiply(self.lr, s1, out=s1)
+        np.multiply(lr, s1, out=s1)
         np.divide(v, c2, out=s2)
         np.sqrt(s2, out=s2)
         s2 += self.eps
@@ -370,6 +400,9 @@ class SiameseModel:
                                           _quantize_f32(self.params.flat))
         self.feature_means = _quantize_f32(self.feature_means)
         self.feature_stds = _quantize_f32(self.feature_stds)
+        self._check()
+
+    def _check(self) -> None:
         if self.feature_means.shape != self.feature_stds.shape or self.feature_means.ndim != 1:
             raise ValueError("normalization stats must be 1-D and equally sized")
         if self.feature_means.shape[0] != self.params.layer_dims[0]:
@@ -429,10 +462,14 @@ class SiameseModel:
             means = binio.read_f32_array(f, dims[0]).astype(np.float64)
             stds = binio.read_f32_array(f, dims[0]).astype(np.float64)
             flat = binio.read_f32_array(f, _param_count(dims)).astype(np.float64)
+        # the values are float32 already: widened once above, they skip the
+        # rounding copy that construction makes
+        model = cls.__new__(cls)
+        model.margin, model.feature_means, model.feature_stds = margin, means, stds
         try:
-            params = MlpParams.from_flat(dims, flat)
-            return cls(params=params, margin=margin,
-                       feature_means=means, feature_stds=stds)
+            model.params = MlpParams.from_flat(dims, flat)
+            model._check()
+            return model
         except ValueError as exc:
             raise DataError(f"{path}: inconsistent model contents ({exc})") from exc
 
@@ -453,6 +490,32 @@ def _feature_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _quantize_f32(means), _quantize_f32(stds)
 
 
+def _column_groups(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal columns of ``Z``. Returns each group's first column,
+    each column's group and each group's size n_c, with the groups numbered
+    in the order of their first columns, so a matrix with no repeated column
+    has ``first`` = ``group`` = 0, 1, 2, ..."""
+    _, first, group, counts = np.unique(Z, axis=1, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    return first[order], renumber[group.reshape(-1)], counts[order]
+
+
+def _fold(params: MlpParams, group: np.ndarray, counts: np.ndarray) -> MlpParams:
+    """The network that reads one column per group: layer 0's weight column c
+    is the sum of ``params``' columns in group c, the other layers are copied."""
+    dims = (counts.size,) + params.layer_dims[1:]
+    folded = MlpParams.from_flat(dims, np.zeros(_param_count(dims)))
+    w0 = params.weights[0]
+    # the columns sorted by group, each group's run summed
+    order = np.argsort(group, kind="stable")
+    folded.weights[0][...] = np.add.reduceat(w0[:, order], np.cumsum(counts) - counts, axis=1)
+    folded.flat[folded.weights[0].size :] = params.flat[w0.size :]
+    return folded
+
+
 def train(
     train_pairs: Sequence[PairExample],
     val_pairs: Sequence[PairExample],
@@ -465,6 +528,18 @@ def train(
 
     Deterministic given the config seed: shuffling, dropout, and
     initialization all derive from it.
+
+    Layer 0 trains on the distinct input columns. After standardizing, the
+    equal columns of the train and val rows form groups (``_column_groups``);
+    the rows keep one column per group, and the network that reads them holds
+    one layer-0 weight column per group, the sum of the init columns in it.
+    The columns of a group get bit-equal gradients, and SGD and Adam update
+    each coordinate on its own, so they would move in lockstep for the whole
+    run: each group's weights step with the learning rate times its size n_c,
+    which moves the sum as its n_c columns would move. At the end each
+    column of a group of n_c > 1 is its init value plus 1/n_c of its group's
+    move, and a column alone in its group is its group's column, so a matrix
+    with no repeated column trains as a full-width network does, bit for bit.
     """
     if not train_pairs or not val_pairs:
         raise DataError("need non-empty train and validation pair lists")
@@ -477,6 +552,8 @@ def train(
     means, stds = _feature_stats(X_train)
     Z_train = (X_train - means) / stds
     Z_val = (X_val - means) / stds
+    first, group, counts = _column_groups(np.concatenate((Z_train, Z_val)))
+    Z_train, Z_val = Z_train[:, first], Z_val[:, first]
     row_train = {cid: i for i, cid in enumerate(train_ids)}
     row_val = {cid: i for i, cid in enumerate(val_ids)}
     tr_a = np.array([row_train[p.clip_a] for p in train_pairs])
@@ -486,8 +563,14 @@ def train(
     va_b = np.array([row_val[p.clip_b] for p in val_pairs])
     va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
 
-    params = init_params(train_cfg.seed, layer_dims)
-    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate)
+    # the full-width init stays for the expansion at the end
+    full = init_params(train_cfg.seed, layer_dims)
+    params = _fold(full, group, counts)
+    w0_init = params.weights[0].copy()
+    rates = MlpParams.from_flat(params.layer_dims,
+                                np.full(params.flat.size, train_cfg.learning_rate))
+    rates.weights[0][...] *= counts
+    optimizer = OPTIMIZERS[train_cfg.optimizer](params, rates.flat)
     grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
@@ -519,7 +602,9 @@ def train(
         train_loss = loss_sum / n
         # the embeddings are bounded, so a diverging run can keep a finite
         # loss while its parameters run past what a model file can hold
-        # (NaN fails every comparison; min and max allocate nothing)
+        # (NaN fails every comparison; min and max allocate nothing). A group's
+        # weight moves n_c times as far as each of its columns, so the folded
+        # vector leaves float32 range no later than the full-width one.
         if not -_F32_MAX <= params.flat.min() <= params.flat.max() <= _F32_MAX:
             raise NumericError(
                 f"parameters non-finite or beyond float32 range at epoch {epoch}"
@@ -534,10 +619,16 @@ def train(
             best_val = val_loss
             np.copyto(best_params.flat, params.flat)
             best_epoch = epoch
-    # free the training state before the model makes its own float32-rounded copy
-    del params, optimizer, grads
+    # free the training state before the model makes its own float32-rounded
+    # copy; expand the best epoch's groups into the full-width init
+    del params, optimizer, grads, rates
+    w0 = full.weights[0]
+    w0 += ((best_params.weights[0] - w0_init) / counts)[:, group]
+    alone = counts == 1
+    w0[:, first[alone]] = best_params.weights[0][:, alone]
+    full.flat[w0.size :] = best_params.flat[best_params.weights[0].size :]
     model = SiameseModel(
-        params=best_params,
+        params=full,
         margin=loss_cfg.margin,
         feature_means=means,
         feature_stds=stds,

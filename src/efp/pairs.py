@@ -63,42 +63,46 @@ def positive_pairs(clips: Sequence[ClipRecord]) -> list[PairExample]:
     return out
 
 
-def _all_negative_pairs(grouped: dict[str, list[str]]) -> list[PairExample]:
-    """Every cross-class pair, label 0, in canonical (clip_a, clip_b) order."""
-    label_of = {cid: label for label, ids in grouped.items() for cid in ids}
-    ids = sorted(label_of)
-    return [
-        PairExample(a, b, 0)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if label_of[a] != label_of[b]
-    ]
+def _negative_index_pairs(grouped: dict[str, list[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted clip ids and the index pairs (i, j), i < j, of every
+    cross-class pair, in canonical (clip_a, clip_b) order."""
+    class_of = {cid: k for k, ids in enumerate(grouped.values()) for cid in ids}
+    ids = sorted(class_of)
+    codes = np.array([class_of[cid] for cid in ids])
+    first, second = np.triu_indices(len(ids), 1)
+    cross = codes[first] != codes[second]
+    return ids, first[cross], second[cross]
 
 
 def _positives_and_negatives(
     clips: Sequence[ClipRecord], scheme: str
-) -> tuple[list[PairExample], list[PairExample]]:
+) -> tuple[list[PairExample], tuple[list[str], np.ndarray, np.ndarray]]:
     grouped = _by_class(clips)
     if len(grouped) < 2:
         raise DataError(f"{scheme} pairing needs at least 2 classes")
-    return positive_pairs(clips), _all_negative_pairs(grouped)
+    return positive_pairs(clips), _negative_index_pairs(grouped)
+
+
+def _negative_pairs(ids: list[str], first: np.ndarray, second: np.ndarray) -> list[PairExample]:
+    return [PairExample(ids[i], ids[j], 0) for i, j in zip(first.tolist(), second.tolist())]
 
 
 def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
     """All positives plus an equal number of cross-class negatives.
 
     The negatives are a seeded uniform draw, without replacement, from the
-    unbalanced scheme's negatives, kept in their canonical order.
+    unbalanced scheme's negatives, kept in their canonical order. Only the
+    drawn ones are built.
     """
-    positives, negatives = _positives_and_negatives(clips, "balanced")
-    if len(negatives) < len(positives):
+    positives, (ids, first, second) = _positives_and_negatives(clips, "balanced")
+    if len(first) < len(positives):
         raise DataError(
-            f"corpus has only {len(negatives)} distinct cross-class pairs but "
+            f"corpus has only {len(first)} distinct cross-class pairs but "
             f"{len(positives)} positives; cannot balance"
         )
     rng = np.random.default_rng([cfg.seed])
-    picks = rng.choice(len(negatives), size=len(positives), replace=False)
-    return positives + [negatives[int(i)] for i in np.sort(picks)]
+    picks = np.sort(rng.choice(len(first), size=len(positives), replace=False))
+    return positives + _negative_pairs(ids, first[picks], second[picks])
 
 
 def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
@@ -108,7 +112,8 @@ def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[Pa
     negatives in which it appears on the anchor (clip_a) side, sampled with
     the config seed.
     """
-    positives, negatives = _positives_and_negatives(clips, "unbalanced")
+    positives, index_pairs = _positives_and_negatives(clips, "unbalanced")
+    negatives = _negative_pairs(*index_pairs)
     cap = cfg.max_negatives_per_clip
     if cap is not None:
         rng = np.random.default_rng([cfg.seed])

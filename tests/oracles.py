@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (plain Python
 loops, no shared code with the package) so that agreement is meaningful. The
 one exception is the last section: single-pair wrappers over ``efp.net`` (the
 pair distance and loss the gradient checks difference, and its loss and
-gradients) and the finite-difference check of its analytic gradient.
+gradients), the finite-difference check of its analytic gradient, and the
+training loop over full-width parameters.
 """
 
 import math
@@ -267,6 +268,19 @@ def adam_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=
         target -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
+def negative_pairs_oracle(clips):
+    """Every cross-class (clip_a, clip_b) with clip_a < clip_b, in sorted
+    order, by a double loop over the sorted clip ids."""
+    label_of = {rec.clip_id: rec.class_label for rec in clips}
+    ids = sorted(label_of)
+    out = []
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if label_of[ids[i]] != label_of[ids[j]]:
+                out.append((ids[i], ids[j]))
+    return out
+
+
 def frame_count_oracle(n_samples, win, hop):
     return (n_samples - win) // hop + 1
 
@@ -406,3 +420,51 @@ def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coord
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         max_rel = max(max_rel, rel)
     return max_rel
+
+
+def train_unfolded_oracle(train_pairs, val_pairs, cache, train_cfg, loss_cfg, layer_dims):
+    """``net.train`` as it was before it folded equal input columns: every
+    step updates the full-width parameters. Returns the model and history."""
+    train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
+    val_ids = sorted({cid for p in val_pairs for cid in (p.clip_a, p.clip_b)})
+    X_train = cache.rows(train_ids).astype(np.float64)
+    X_val = cache.rows(val_ids).astype(np.float64)
+    means, stds = net._feature_stats(X_train)
+    Z_train = (X_train - means) / stds
+    Z_val = (X_val - means) / stds
+    row_train = {cid: i for i, cid in enumerate(train_ids)}
+    row_val = {cid: i for i, cid in enumerate(val_ids)}
+    tr_a = np.array([row_train[p.clip_a] for p in train_pairs])
+    tr_b = np.array([row_train[p.clip_b] for p in train_pairs])
+    tr_y = np.array([p.label for p in train_pairs], dtype=np.float64)
+    va_a = np.array([row_val[p.clip_a] for p in val_pairs])
+    va_b = np.array([row_val[p.clip_b] for p in val_pairs])
+    va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
+
+    params = net.init_params(train_cfg.seed, layer_dims)
+    optimizer = net.OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate)
+    n = len(train_pairs)
+    history = []
+    best_val = np.inf
+    best_params = params.copy()
+    for epoch in range(1, train_cfg.epochs + 1):
+        perm = np.random.default_rng([train_cfg.seed, epoch]).permutation(n)
+        dropout_rng = np.random.default_rng([train_cfg.seed, epoch, 1])
+        loss_sum = 0.0
+        for start in range(0, n, train_cfg.batch_size):
+            idx = perm[start : start + train_cfg.batch_size]
+            loss, grads = net.batch_loss_and_grads(
+                params, Z_train[tr_a[idx]], Z_train[tr_b[idx]], tr_y[idx],
+                loss_cfg, train_cfg.dropout, dropout_rng)
+            optimizer.step(grads.flat)
+            loss_sum += loss * len(idx)
+        e_val = net.forward_eval(params, Z_val)
+        d_val = np.sqrt(np.sum(np.square(e_val[va_a] - e_val[va_b]), axis=1))
+        val_loss = float(np.mean(net._contrastive(va_y, d_val, loss_cfg.margin)[0]))
+        history.append((epoch, loss_sum / n, val_loss))
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = params.copy()
+    model = net.SiameseModel(params=best_params, margin=loss_cfg.margin,
+                             feature_means=means, feature_stds=stds)
+    return model, history

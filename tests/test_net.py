@@ -32,6 +32,7 @@ from oracles import (
     pair_distance,
     pair_loss_and_grads,
     pair_loss_oracle,
+    train_unfolded_oracle,
     twin_branch_oracle,
 )
 
@@ -294,6 +295,85 @@ def test_blocked_adam_equals_whole_array_oracle():
         assert np.array_equal(opt.v, vs[0])
 
 
+def test_blocked_sgd_equals_whole_array_formula():
+    rng = np.random.default_rng(31)
+    size = 2 * ADAM_BLOCK + 9
+    grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
+    for lr in (0.01, rng.uniform(1e-4, 1e-1, size=size)):
+        params = MlpParams(weights=[rng.standard_normal((1, size - 1))], biases=[np.zeros(1)])
+        want = params.flat - lr * grad
+        SgdOptimizer(params, lr).step(grad)
+        assert params.flat.tobytes() == want.tobytes()
+
+
+def test_blocked_adam_with_per_coordinate_rates_equals_oracle():
+    rng = np.random.default_rng(32)
+    size = 2 * ADAM_BLOCK + 9
+    params = MlpParams(weights=[rng.standard_normal((1, size - 1))], biases=[np.zeros(1)])
+    lr = rng.uniform(1e-4, 1e-1, size=size)
+    opt = AdamOptimizer(params, learning_rate=lr)
+    want, ms, vs = [params.flat.copy()], [np.zeros(size)], [np.zeros(size)]
+    for t in range(1, 4):
+        grad = rng.standard_normal(size)
+        opt.step(grad)
+        adam_step_oracle(want, [grad], ms, vs, t, lr)
+        assert params.flat.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("rate", ["scalar", "vector"])
+def test_optimizer_step_allocates_nothing_at_full_size(optimizer, rate):
+    import tracemalloc
+
+    size = net._param_count(net.DEFAULT_LAYER_DIMS)
+    params = MlpParams.from_flat(net.DEFAULT_LAYER_DIMS, np.zeros(size))
+    grad = np.full(size, 1e-3)
+    lr = 1e-3 if rate == "scalar" else np.full(size, 1e-3)
+    opt = net.OPTIMIZERS[optimizer](params, lr)
+    tracemalloc.start()
+    try:
+        opt.step(grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.all(params.flat < 0.0)
+
+
+def test_model_load_widens_the_parameters_once(tmp_path):
+    import tracemalloc
+
+    dims = (2000, 512, 256, 128)
+    model = SiameseModel(params=init_params(9, dims), margin=1.0,
+                         feature_means=np.zeros(dims[0]), feature_stds=np.ones(dims[0]))
+    path = tmp_path / "model.bin"
+    model.save(path)
+    tracemalloc.start()
+    try:
+        loaded = SiameseModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 block read from the file and one float64 vector, plus the
+    # stats: a second rounding would add a float32 and a float64 copy
+    n_values = net._param_count(dims) + 2 * dims[0]
+    assert peak < 1.1 * (4 + 8) * n_values
+    assert loaded.to_bytes() == model.to_bytes()
+
+
+def test_column_groups_are_numbered_by_first_column():
+    Z = np.array([[1.0, 2.0, 1.0, 3.0, 2.0, 1.0],
+                  [0.0, 5.0, 0.0, 1.0, 5.0, 0.0]])
+    first, group, counts = net._column_groups(Z)
+    assert first.tolist() == [0, 1, 3]
+    assert group.tolist() == [0, 1, 0, 2, 1, 0]
+    assert counts.tolist() == [3, 2, 1]
+    distinct = np.random.default_rng(33).standard_normal((4, 7))
+    first, group, counts = net._column_groups(distinct)
+    assert first.tolist() == group.tolist() == list(range(7))
+    assert counts.tolist() == [1] * 7
+
+
 def test_params_from_foreign_arrays_are_views_of_their_own_flat():
     """Non-contiguous or non-float64 inputs are copied into one new C-contiguous
     float64 vector laid out w0, b0, w1, b1, ...; each layer is a C-contiguous
@@ -363,6 +443,58 @@ def test_train_smoke_learns_and_reproduces():
     again = train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))
     assert result.model.to_bytes() == again.model.to_bytes()
     assert result.history == again.history
+
+
+def planted_duplicates_cache(seed=26, n_per_class=6, n_distinct=12, dim=40):
+    """``cluster_cache`` rows widened to ``dim`` columns, each a copy of one
+    of ``n_distinct`` distinct columns, in shuffled order."""
+    base = cluster_cache(seed, n_per_class, n_distinct)
+    rng = np.random.default_rng(seed)
+    source = rng.permutation(np.concatenate(
+        (np.arange(n_distinct), rng.integers(0, n_distinct, size=dim - n_distinct))))
+    return FeatureCache(freq_bins=dim, time_bins=1, clip_ids=base.clip_ids,
+                        labels=base.labels, matrix=base.matrix[:, source])
+
+
+@pytest.mark.parametrize("optimizer, lr", [("adam", 1e-2), ("sgd", 0.1)])
+def test_folded_training_matches_the_unfolded_oracle(monkeypatch, optimizer, lr):
+    """With duplicated input columns the folded layer 0 learns the model the
+    full-width loop learns, up to rounding. The float64 parameters are
+    compared, before the float32 rounding a model applies, which could split
+    two values 1e-14 apart by a float32 step."""
+    monkeypatch.setattr(net, "_quantize_f32", lambda a: np.array(a, dtype=np.float64))
+    cache = planted_duplicates_cache()
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=6, batch_size=16, learning_rate=lr, optimizer=optimizer,
+                      dropout=0.0, seed=11)
+    dims = (40, 8, 6, 4)
+    _, _, counts = net._column_groups(cache.matrix.astype(np.float64))
+    assert counts.size == 12 and counts.max() > 1
+    got = train(pairs, pairs, cache, cfg, LossConfig(), dims)
+    want, history = train_unfolded_oracle(pairs, pairs, cache, cfg, LossConfig(), dims)
+    assert got.history[-1][2] < got.history[0][2]
+    assert np.abs(got.model.params.flat - want.params.flat).max() <= 1e-10
+    assert np.abs(got.model.params.flat - init_params(11, dims).flat).max() > 1e-3
+    for row, want_row in zip(got.history, history, strict=True):
+        assert row[0] == want_row[0]
+        assert np.allclose(row[1:], want_row[1:], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_without_repeated_columns_writes_the_unfolded_model(monkeypatch, optimizer):
+    cache = cluster_cache(seed=27)
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=1e-2, optimizer=optimizer, seed=12)
+    dims = (10, 8, 6, 4)
+    got = train(pairs, pairs, cache, cfg, layer_dims=dims)
+    want, history = train_unfolded_oracle(pairs, pairs, cache, cfg, LossConfig(), dims)
+    assert got.model.to_bytes() == want.to_bytes()
+    assert got.history == history
+    # equal in float64 too, before a model rounds to float32
+    monkeypatch.setattr(net, "_quantize_f32", lambda a: np.array(a, dtype=np.float64))
+    got = train(pairs, pairs, cache, cfg, layer_dims=dims)
+    want, _ = train_unfolded_oracle(pairs, pairs, cache, cfg, LossConfig(), dims)
+    assert got.model.params.flat.tobytes() == want.params.flat.tobytes()
 
 
 def test_train_with_identical_features_leaves_params_at_init():

@@ -16,7 +16,7 @@ from efp.pairs import (
     unbalanced_pairs,
 )
 
-from oracles import negative_count_oracle, positive_count_oracle
+from oracles import negative_count_oracle, negative_pairs_oracle, positive_count_oracle
 
 
 def clips_for(sizes):
@@ -200,3 +200,22 @@ def test_pair_csv_round_trip(tmp_path):
         load_pairs(tmp_path / "bad.csv")
     with pytest.raises(DataError):
         load_pairs(tmp_path / "missing.csv")
+
+
+def test_negatives_match_the_plain_loop_enumeration():
+    """Both schemes' negatives are those of a double loop over the sorted
+    clip ids: every one for unbalanced, and for balanced the ones at the
+    seeded draw's indices, in canonical order."""
+    for sizes in ({"a": 2, "b": 2}, {"b": 4, "a": 7, "c": 3}, {"x": 9, "y": 1, "z": 5}):
+        clips = clips_for(sizes)
+        every = negative_pairs_oracle(clips)
+        positives = positive_pairs(clips)
+        got = unbalanced_pairs(clips, PairingConfig())
+        assert got[: len(positives)] == positives
+        assert [(p.clip_a, p.clip_b, p.label) for p in got[len(positives):]] == \
+            [(a, b, 0) for a, b in every]
+        for seed in (0, 3, 17):
+            picks = np.random.default_rng([seed]).choice(
+                len(every), size=len(positives), replace=False)
+            want = positives + [PairExample(*every[i], 0) for i in sorted(picks)]
+            assert balanced_pairs(clips, PairingConfig(scheme="balanced", seed=seed)) == want
