@@ -69,13 +69,18 @@ def _param_count(layer_dims: Sequence[int]) -> int:
     return sum(a * b + b for a, b in zip(layer_dims[:-1], layer_dims[1:]))
 
 
+# Training runs in float64; a float32 vector is a model file's parameter
+# block, which SiameseModel widens
+_FLAT_DTYPES = (np.float64, np.float32)
+
+
 class MlpParams:
     """Weights and biases in one C-contiguous float64 vector, ``flat``, laid
     out w0, b0, w1, b1, ... (each row-major). ``weights[l]``, of shape
     (out_dim, in_dim), and ``biases[l]`` are views of ``flat``.
 
     Built from per-layer arrays, the values are copied into a new ``flat``;
-    ``from_flat`` wraps a vector as it is.
+    ``from_flat`` wraps a vector as it is, which may also be float32.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -99,7 +104,7 @@ class MlpParams:
         return params
 
     def _adopt(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
-        if flat.shape != (_param_count(dims),) or flat.dtype != np.float64 \
+        if flat.shape != (_param_count(dims),) or flat.dtype not in _FLAT_DTYPES \
                 or not flat.flags.c_contiguous:
             raise ValueError(f"{flat.dtype} vector of shape {flat.shape} cannot hold "
                              f"the parameters of layers {dims}")
@@ -400,9 +405,6 @@ class SiameseModel:
                                           _quantize_f32(self.params.flat))
         self.feature_means = _quantize_f32(self.feature_means)
         self.feature_stds = _quantize_f32(self.feature_stds)
-        self._check()
-
-    def _check(self) -> None:
         if self.feature_means.shape != self.feature_stds.shape or self.feature_means.ndim != 1:
             raise ValueError("normalization stats must be 1-D and equally sized")
         if self.feature_means.shape[0] != self.params.layer_dims[0]:
@@ -459,17 +461,14 @@ class SiameseModel:
             margin = binio.read_f64(f)
             # stats, then the parameters in the order of MlpParams.flat, all float32
             binio.check_fits(f, 2 * dims[0] + _param_count(dims), 4, path)
-            means = binio.read_f32_array(f, dims[0]).astype(np.float64)
-            stds = binio.read_f32_array(f, dims[0]).astype(np.float64)
-            flat = binio.read_f32_array(f, _param_count(dims)).astype(np.float64)
-        # the values are float32 already: widened once above, they skip the
-        # rounding copy that construction makes
-        model = cls.__new__(cls)
-        model.margin, model.feature_means, model.feature_stds = margin, means, stds
+            means = binio.read_f32_array(f, dims[0])
+            stds = binio.read_f32_array(f, dims[0])
+            flat = binio.read_f32_array(f, _param_count(dims))
         try:
-            model.params = MlpParams.from_flat(dims, flat)
-            model._check()
-            return model
+            # float32 values already, so construction widens them and has no
+            # rounding to do
+            return cls(params=MlpParams.from_flat(dims, flat), margin=margin,
+                       feature_means=means, feature_stds=stds)
         except ValueError as exc:
             raise DataError(f"{path}: inconsistent model contents ({exc})") from exc
 
@@ -503,17 +502,33 @@ def _column_groups(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first[order], renumber[group.reshape(-1)], counts[order]
 
 
+def _group_sums(w: np.ndarray, group: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column c of the result is the sum of ``w``'s columns in group c."""
+    # the columns sorted by group, each group's run summed
+    order = np.argsort(group, kind="stable")
+    return np.add.reduceat(w[:, order], np.cumsum(counts) - counts, axis=1)
+
+
 def _fold(params: MlpParams, group: np.ndarray, counts: np.ndarray) -> MlpParams:
     """The network that reads one column per group: layer 0's weight column c
     is the sum of ``params``' columns in group c, the other layers are copied."""
     dims = (counts.size,) + params.layer_dims[1:]
     folded = MlpParams.from_flat(dims, np.zeros(_param_count(dims)))
-    w0 = params.weights[0]
-    # the columns sorted by group, each group's run summed
-    order = np.argsort(group, kind="stable")
-    folded.weights[0][...] = np.add.reduceat(w0[:, order], np.cumsum(counts) - counts, axis=1)
-    folded.flat[folded.weights[0].size :] = params.flat[w0.size :]
+    folded.weights[0][...] = _group_sums(params.weights[0], group, counts)
+    folded.flat[folded.weights[0].size :] = params.flat[params.weights[0].size :]
     return folded
+
+
+def _group_rates(dims: Sequence[int], counts: np.ndarray,
+                 learning_rate: float) -> float | np.ndarray:
+    """The learning rate of each coordinate of the folded network: layer 0's
+    weights in group c step with ``learning_rate`` times n_c. With no repeated
+    column that is ``learning_rate`` everywhere, which stays a scalar."""
+    if counts.max() == 1:
+        return learning_rate
+    rates = MlpParams.from_flat(dims, np.full(_param_count(dims), learning_rate))
+    rates.weights[0][...] *= counts
+    return rates.flat
 
 
 def train(
@@ -545,15 +560,20 @@ def train(
         raise DataError("need non-empty train and validation pair lists")
     train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
     val_ids = sorted({cid for p in val_pairs for cid in (p.clip_a, p.clip_b)})
-    X_train = cache.rows(train_ids).astype(np.float64)
-    X_val = cache.rows(val_ids).astype(np.float64)
     if layer_dims is None:
         layer_dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
-    means, stds = _feature_stats(X_train)
-    Z_train = (X_train - means) / stds
-    Z_val = (X_val - means) / stds
-    first, group, counts = _column_groups(np.concatenate((Z_train, Z_val)))
-    Z_train, Z_val = Z_train[:, first], Z_val[:, first]
+    # the train rows, then the val rows, standardized in place by the train
+    # rows' stats
+    Z = cache.rows(train_ids + val_ids).astype(np.float64)
+    n_rows = len(train_ids)
+    means, stds = _feature_stats(Z[:n_rows])
+    Z -= means
+    Z /= stds
+    first, group, counts = _column_groups(Z)
+    logger.info("layer 0 trains on %d distinct input columns of %d", counts.size, group.size)
+    # one column per group; take keeps the rows C-contiguous for the gathers
+    Z = Z.take(first, axis=1)
+    Z_train, Z_val = Z[:n_rows], Z[n_rows:]
     row_train = {cid: i for i, cid in enumerate(train_ids)}
     row_val = {cid: i for i, cid in enumerate(val_ids)}
     tr_a = np.array([row_train[p.clip_a] for p in train_pairs])
@@ -563,14 +583,9 @@ def train(
     va_b = np.array([row_val[p.clip_b] for p in val_pairs])
     va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
 
-    # the full-width init stays for the expansion at the end
-    full = init_params(train_cfg.seed, layer_dims)
-    params = _fold(full, group, counts)
-    w0_init = params.weights[0].copy()
-    rates = MlpParams.from_flat(params.layer_dims,
-                                np.full(params.flat.size, train_cfg.learning_rate))
-    rates.weights[0][...] *= counts
-    optimizer = OPTIMIZERS[train_cfg.optimizer](params, rates.flat)
+    params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
+    optimizer = OPTIMIZERS[train_cfg.optimizer](
+        params, _group_rates(params.layer_dims, counts, train_cfg.learning_rate))
     grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
@@ -619,14 +634,21 @@ def train(
             best_val = val_loss
             np.copyto(best_params.flat, params.flat)
             best_epoch = epoch
-    # free the training state before the model makes its own float32-rounded
-    # copy; expand the best epoch's groups into the full-width init
-    del params, optimizer, grads, rates
-    w0 = full.weights[0]
-    w0 += ((best_params.weights[0] - w0_init) / counts)[:, group]
+    # free the training state, then expand the best epoch's groups into the
+    # full-width init, drawn again: a column of a group of n_c > 1 is its init
+    # value plus 1/n_c of its group's move, a column alone in its group is its
+    # group's column
+    del params, optimizer, grads
+    full = init_params(train_cfg.seed, layer_dims)
+    w0, w0g = full.weights[0], best_params.weights[0]
+    move = _group_sums(w0, group, counts)
+    np.subtract(w0g, move, out=move)
+    move /= counts
+    w0 += move[:, group]
+    del move
     alone = counts == 1
-    w0[:, first[alone]] = best_params.weights[0][:, alone]
-    full.flat[w0.size :] = best_params.flat[best_params.weights[0].size :]
+    w0[:, first[alone]] = w0g[:, alone]
+    full.flat[w0.size :] = best_params.flat[w0g.size :]
     model = SiameseModel(
         params=full,
         margin=loss_cfg.margin,

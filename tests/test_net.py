@@ -497,6 +497,25 @@ def test_training_without_repeated_columns_writes_the_unfolded_model(monkeypatch
     assert got.model.params.flat.tobytes() == want.params.flat.tobytes()
 
 
+def test_training_without_repeated_columns_holds_no_more_than_the_unfolded_loop():
+    """Parameters, best epoch, two Adam moments and the gradient: five
+    parameter-sized vectors, as the full-width loop holds. Neither a copy of
+    the init nor a vector of learning rates stays alive while training runs."""
+    import tracemalloc
+
+    dims = (2000, 512, 256, 128)
+    cache = cluster_cache(seed=28, dim=dims[0])
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=13)
+    tracemalloc.start()
+    try:
+        train(pairs, pairs, cache, cfg, layer_dims=dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * net._param_count(dims)
+
+
 def test_train_with_identical_features_leaves_params_at_init():
     dim = 10
     row = np.random.default_rng(21).standard_normal(dim).astype(np.float32)
