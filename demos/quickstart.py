@@ -27,7 +27,7 @@ split = corpus.split_manifest(manifest, (0.6, 0.2, 0.2), 0)
 pair_cfg = pairs.PairingConfig(scheme="unbalanced", seed=0)
 train_pairs = pairs.make_pairs(split.subset("train"), pair_cfg)
 val_pairs = pairs.make_pairs(split.subset("val"), pair_cfg)
-n_pos = sum(p.label for p in train_pairs)
+n_pos = int(train_pairs.y.sum())
 print(f"train pairs: {n_pos} positive, {len(train_pairs) - n_pos} negative")
 
 # 4. a short training run; the checkpoint with the lowest val loss wins

@@ -166,13 +166,11 @@ def cmd_pairs(args) -> int:
     records = manifest.subset(args.split)
     if not records:
         raise DataError(f"manifest has no clips in split {args.split!r}; run split first")
-    pair_list = pairs.make_pairs(records, pairing)
-    pairs.save_pairs(pair_list, args.out)
-    n_pos = sum(p.label for p in pair_list)
-    print(
-        f"{args.split} split: {n_pos} positive + {len(pair_list) - n_pos} negative "
-        f"pairs -> {args.out}"
-    )
+    pair_set = pairs.make_pairs(records, pairing)
+    pairs.save_pairs(pair_set, args.out)
+    n_pos = int(pair_set.y.sum())
+    print(f"{args.split} split: {n_pos} positive + {len(pair_set) - n_pos} negative "
+          f"pairs -> {args.out}")
     return EXIT_OK
 
 

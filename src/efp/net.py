@@ -48,7 +48,7 @@ import numpy as np
 from . import binio
 from .errors import DataError, NumericError
 from .features import FeatureCache
-from .pairs import PairExample
+from .pairs import PairSet
 
 logger = logging.getLogger(__name__)
 
@@ -532,8 +532,8 @@ def _group_rates(dims: Sequence[int], counts: np.ndarray,
 
 
 def train(
-    train_pairs: Sequence[PairExample],
-    val_pairs: Sequence[PairExample],
+    train_pairs: PairSet,
+    val_pairs: PairSet,
     cache: FeatureCache,
     train_cfg: TrainConfig = TrainConfig(),
     loss_cfg: LossConfig = LossConfig(),
@@ -543,6 +543,9 @@ def train(
 
     Deterministic given the config seed: shuffling, dropout, and
     initialization all derive from it.
+
+    The rows are the clips of ``train_pairs.ids``, whose stats standardize them
+    all, then of ``val_pairs.ids``; the arrays ``a`` and ``b`` index them as is.
 
     Layer 0 trains on the distinct input columns. After standardizing, the
     equal columns of the train and val rows form groups (``_column_groups``);
@@ -558,14 +561,12 @@ def train(
     """
     if not train_pairs or not val_pairs:
         raise DataError("need non-empty train and validation pair lists")
-    train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
-    val_ids = sorted({cid for p in val_pairs for cid in (p.clip_a, p.clip_b)})
     if layer_dims is None:
         layer_dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
     # the train rows, then the val rows, standardized in place by the train
     # rows' stats
-    Z = cache.rows(train_ids + val_ids).astype(np.float64)
-    n_rows = len(train_ids)
+    Z = cache.rows(train_pairs.ids + val_pairs.ids).astype(np.float64)
+    n_rows = len(train_pairs.ids)
     means, stds = _feature_stats(Z[:n_rows])
     Z -= means
     Z /= stds
@@ -574,14 +575,8 @@ def train(
     # one column per group; take keeps the rows C-contiguous for the gathers
     Z = Z.take(first, axis=1)
     Z_train, Z_val = Z[:n_rows], Z[n_rows:]
-    row_train = {cid: i for i, cid in enumerate(train_ids)}
-    row_val = {cid: i for i, cid in enumerate(val_ids)}
-    tr_a = np.array([row_train[p.clip_a] for p in train_pairs])
-    tr_b = np.array([row_train[p.clip_b] for p in train_pairs])
-    tr_y = np.array([p.label for p in train_pairs], dtype=np.float64)
-    va_a = np.array([row_val[p.clip_a] for p in val_pairs])
-    va_b = np.array([row_val[p.clip_b] for p in val_pairs])
-    va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
+    tr_a, tr_b, tr_y = train_pairs.a, train_pairs.b, train_pairs.y.astype(np.float64)
+    va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
     params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
     optimizer = OPTIMIZERS[train_cfg.optimizer](

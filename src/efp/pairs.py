@@ -1,34 +1,57 @@
-"""Labeled clip pairs for contrastive training: balanced and unbalanced schemes."""
+"""Labeled clip pairs for contrastive training: balanced and unbalanced schemes.
+
+A ``PairSet`` holds pairs as index arrays: pair k is ``ids[a[k]]`` and
+``ids[b[k]]`` with label ``y[k]`` (1: same class). ``ids`` are the sorted ids
+of the clips in some pair and no others. The schemes take every pair (i, j),
+i < j, of the sorted clip ids from one ``np.triu_indices``: the positives
+first, by class label and then in ``itertools.combinations`` order, then the
+negatives in (i, j) order.
+"""
 
 from __future__ import annotations
 
 import csv
-import itertools
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import ClipRecord
 from .errors import DataError
 
-logger = logging.getLogger(__name__)
-
 SCHEMES = ("balanced", "unbalanced")
 
 
-@dataclass(frozen=True)
-class PairExample:
-    clip_a: str
-    clip_b: str
-    label: int
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Pair k is (``ids[a[k]]``, ``ids[b[k]]``) with label ``y[k]``."""
+
+    ids: list[str]
+    a: np.ndarray
+    b: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        if self.clip_a == self.clip_b:
-            raise ValueError(f"pair of a clip with itself: {self.clip_a!r}")
-        if self.label not in (0, 1):
-            raise ValueError(f"pair label must be 0 or 1, got {self.label}")
+        a, b, y = self.a, self.b, self.y
+        if not (a.ndim == 1 and a.shape == b.shape == y.shape and a.dtype.kind in "iu"
+                and b.dtype.kind in "iu"):
+            raise ValueError("pair arrays must be 1-D and of one length, with integer indices")
+        if a.size and not (min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < len(self.ids)):
+            raise ValueError(f"pair index out of range for {len(self.ids)} clip ids")
+        if np.any(a == b):
+            raise ValueError(f"pair of a clip with itself: {self.ids[a[a == b][0]]!r}")
+        if np.any((y != 0) & (y != 1)):
+            raise ValueError(f"pair label must be 0 or 1, got {y[(y != 0) & (y != 1)][0]}")
+
+    def __len__(self) -> int:
+        return self.y.size
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, str, int]]) -> "PairSet":
+        """The pairs (clip_a, clip_b, label) of ``rows``, in their order."""
+        a, b, y = zip(*rows) if rows else ((), (), ())
+        ids, index = np.unique(np.array(a + b, dtype=object), return_inverse=True)
+        return cls(ids.tolist(), index[: len(a)], index[len(a) :], np.array(y, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -44,107 +67,90 @@ class PairingConfig:
             raise ValueError("max_negatives_per_clip must be >= 1 when set")
 
 
-def _by_class(clips: Iterable[ClipRecord]) -> dict[str, list[str]]:
-    grouped: dict[str, list[str]] = {}
-    for rec in clips:
-        grouped.setdefault(rec.class_label, []).append(rec.clip_id)
-    for ids in grouped.values():
-        ids.sort()
-    return grouped
-
-
-def positive_pairs(clips: Sequence[ClipRecord]) -> list[PairExample]:
-    """All same-class pairs, label 1, each once with clip_a < clip_b."""
-    out: list[PairExample] = []
-    grouped = _by_class(clips)
-    for label in sorted(grouped):
-        for a, b in itertools.combinations(grouped[label], 2):
-            out.append(PairExample(a, b, 1))
-    return out
-
-
-def _negative_index_pairs(grouped: dict[str, list[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The sorted clip ids and the index pairs (i, j), i < j, of every
-    cross-class pair, in canonical (clip_a, clip_b) order."""
-    class_of = {cid: k for k, ids in enumerate(grouped.values()) for cid in ids}
-    ids = sorted(class_of)
-    codes = np.array([class_of[cid] for cid in ids])
-    first, second = np.triu_indices(len(ids), 1)
-    cross = codes[first] != codes[second]
-    return ids, first[cross], second[cross]
-
-
-def _positives_and_negatives(
-    clips: Sequence[ClipRecord], scheme: str
-) -> tuple[list[PairExample], tuple[list[str], np.ndarray, np.ndarray]]:
-    grouped = _by_class(clips)
-    if len(grouped) < 2:
+def _index_pairs(clips: Sequence[ClipRecord], scheme: str | None = None):
+    """The sorted clip ids, every index pair over them in the module docstring's
+    order, and the number of positives. A named scheme needs 2+ classes."""
+    label_of = {rec.clip_id: rec.class_label for rec in clips}
+    ids = sorted(label_of)
+    classes, codes = np.unique([label_of[c] for c in ids], return_inverse=True)
+    if scheme is not None and classes.size < 2:
         raise DataError(f"{scheme} pairing needs at least 2 classes")
-    return positive_pairs(clips), _negative_index_pairs(grouped)
+    first, second = np.triu_indices(len(ids), 1)
+    same = codes[first] == codes[second]
+    # row-major order within a class is combinations order; the stable sort puts
+    # each class's pairs first, and the negatives (keyed past them) last
+    order = np.argsort(np.where(same, codes[first], classes.size), kind="stable")
+    return ids, first[order], second[order], int(same.sum())
 
 
-def _negative_pairs(ids: list[str], first: np.ndarray, second: np.ndarray) -> list[PairExample]:
-    return [PairExample(ids[i], ids[j], 0) for i, j in zip(first.tolist(), second.tolist())]
+def _pair_set(ids: list[str], a: np.ndarray, b: np.ndarray, n_pos: int) -> PairSet:
+    """Pairs (ids[a[k]], ids[b[k]]), the first n_pos positive, on the clips used."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[a] = used[b] = True
+    new_index = np.cumsum(used, dtype=np.int32) - 1
+    y = (np.arange(a.size) < n_pos).astype(np.int8)
+    return PairSet([c for c, u in zip(ids, used.tolist()) if u], new_index[a], new_index[b], y)
 
 
-def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
+def positive_pairs(clips: Sequence[ClipRecord]) -> PairSet:
+    """All same-class pairs, label 1, each once with clip_a < clip_b."""
+    ids, first, second, n_pos = _index_pairs(clips)
+    return _pair_set(ids, first[:n_pos], second[:n_pos], n_pos)
+
+
+def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
     """All positives plus an equal number of cross-class negatives.
 
     The negatives are a seeded uniform draw, without replacement, from the
-    unbalanced scheme's negatives, kept in their canonical order. Only the
-    drawn ones are built.
+    unbalanced scheme's negatives, kept in their canonical order.
     """
-    positives, (ids, first, second) = _positives_and_negatives(clips, "balanced")
-    if len(first) < len(positives):
-        raise DataError(
-            f"corpus has only {len(first)} distinct cross-class pairs but "
-            f"{len(positives)} positives; cannot balance"
-        )
+    ids, first, second, n_pos = _index_pairs(clips, "balanced")
+    n_neg = first.size - n_pos
+    if n_neg < n_pos:
+        raise DataError(f"corpus has only {n_neg} distinct cross-class pairs but "
+                        f"{n_pos} positives; cannot balance")
     rng = np.random.default_rng([cfg.seed])
-    picks = np.sort(rng.choice(len(first), size=len(positives), replace=False))
-    return positives + _negative_pairs(ids, first[picks], second[picks])
+    picks = np.sort(rng.choice(n_neg, size=n_pos, replace=False))
+    keep = np.concatenate((np.arange(n_pos), n_pos + picks))
+    return _pair_set(ids, first[keep], second[keep], n_pos)
 
 
-def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
+def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
     """All positives plus every cross-class pair (optionally capped per anchor).
 
-    With max_negatives_per_clip set, each clip keeps at most that many
-    negatives in which it appears on the anchor (clip_a) side, sampled with
-    the config seed.
+    With max_negatives_per_clip set, each clip keeps at most that many of the
+    negatives where it is the anchor (clip_a), one run of ``first``: a longer
+    run keeps a seeded draw without replacement, in order, anchor by anchor.
     """
-    positives, index_pairs = _positives_and_negatives(clips, "unbalanced")
-    negatives = _negative_pairs(*index_pairs)
+    ids, first, second, n_pos = _index_pairs(clips, "unbalanced")
     cap = cfg.max_negatives_per_clip
     if cap is not None:
+        starts = n_pos + np.flatnonzero(np.diff(first[n_pos:], prepend=-1))
+        lengths = np.diff(starts, append=first.size)
         rng = np.random.default_rng([cfg.seed])
-        by_anchor: dict[str, list[PairExample]] = {}
-        for p in negatives:
-            by_anchor.setdefault(p.clip_a, []).append(p)
-        negatives = []
-        for anchor in sorted(by_anchor):
-            group = by_anchor[anchor]
-            if len(group) > cap:
-                picks = rng.choice(len(group), size=cap, replace=False)
-                group = [group[int(i)] for i in sorted(picks)]
-            negatives.extend(group)
-    return positives + negatives
+        keep = np.ones(first.size, dtype=bool)
+        for start, length in zip(starts[lengths > cap].tolist(), lengths[lengths > cap].tolist()):
+            keep[start : start + length] = False
+            keep[start + rng.choice(length, size=cap, replace=False)] = True
+        first, second = first[keep], second[keep]
+    return _pair_set(ids, first, second, n_pos)
 
 
-def make_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> list[PairExample]:
+def make_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
     if cfg.scheme == "balanced":
         return balanced_pairs(clips, cfg)
     return unbalanced_pairs(clips, cfg)
 
 
-def save_pairs(pairs: Iterable[PairExample], path) -> None:
+def save_pairs(pairs: PairSet, path) -> None:
+    names = np.array(pairs.ids, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["clip_a", "clip_b", "label"])
-        for p in pairs:
-            writer.writerow([p.clip_a, p.clip_b, p.label])
+        writer.writerows(zip(names[pairs.a], names[pairs.b], pairs.y.tolist()))
 
 
-def load_pairs(path) -> list[PairExample]:
+def load_pairs(path) -> PairSet:
     try:
         f = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -155,6 +161,6 @@ def load_pairs(path) -> list[PairExample]:
             header = next(reader, None)
             if header != ["clip_a", "clip_b", "label"]:
                 raise DataError(f"{path}: bad pair-list header {header}")
-            return [PairExample(row[0], row[1], int(row[2])) for row in reader]
-        except (IndexError, ValueError) as exc:  # includes a bad UTF-8 byte
+            return PairSet.from_rows([(row[0], row[1], int(row[2])) for row in reader])
+        except (IndexError, ValueError, OverflowError) as exc:  # includes a bad UTF-8 byte
             raise DataError(f"{path}: malformed pair row ({exc})") from exc

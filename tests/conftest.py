@@ -100,3 +100,10 @@ def fd_checkable_pair(seed, dims, y, margin=1.0):
         if d < 0.05 or abs(d - margin) < 0.05 or (y == 0 and d > margin):
             continue
         return params, x1, x2
+
+
+def pair_triples(pair_set):
+    """The (clip_a, clip_b, label) of each pair of a ``PairSet``, in order."""
+    ids = pair_set.ids
+    return [(ids[i], ids[j], label)
+            for i, j, label in zip(pair_set.a.tolist(), pair_set.b.tolist(), pair_set.y.tolist())]

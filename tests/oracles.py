@@ -281,6 +281,25 @@ def negative_pairs_oracle(clips):
     return out
 
 
+def capped_negatives_oracle(clips, cap, seed):
+    """The negatives that a cap of ``cap`` per anchor keeps: the pairs of
+    ``negative_pairs_oracle`` grouped by anchor (clip_a); in ascending anchor
+    order, a group of more than ``cap`` keeps the members at a seeded draw of
+    ``cap`` positions without replacement, in their order."""
+    rng = np.random.default_rng([seed])
+    by_anchor = {}
+    for a, b in negative_pairs_oracle(clips):
+        by_anchor.setdefault(a, []).append((a, b))
+    out = []
+    for anchor in sorted(by_anchor):
+        group = by_anchor[anchor]
+        if len(group) > cap:
+            picks = rng.choice(len(group), size=cap, replace=False)
+            group = [group[i] for i in sorted(picks)]
+        out.extend(group)
+    return out
+
+
 def frame_count_oracle(n_samples, win, hop):
     return (n_samples - win) // hop + 1
 
@@ -425,21 +444,13 @@ def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coord
 def train_unfolded_oracle(train_pairs, val_pairs, cache, train_cfg, loss_cfg, layer_dims):
     """``net.train`` as it was before it folded equal input columns: every
     step updates the full-width parameters. Returns the model and history."""
-    train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
-    val_ids = sorted({cid for p in val_pairs for cid in (p.clip_a, p.clip_b)})
-    X_train = cache.rows(train_ids).astype(np.float64)
-    X_val = cache.rows(val_ids).astype(np.float64)
+    X_train = cache.rows(train_pairs.ids).astype(np.float64)
+    X_val = cache.rows(val_pairs.ids).astype(np.float64)
     means, stds = net._feature_stats(X_train)
     Z_train = (X_train - means) / stds
     Z_val = (X_val - means) / stds
-    row_train = {cid: i for i, cid in enumerate(train_ids)}
-    row_val = {cid: i for i, cid in enumerate(val_ids)}
-    tr_a = np.array([row_train[p.clip_a] for p in train_pairs])
-    tr_b = np.array([row_train[p.clip_b] for p in train_pairs])
-    tr_y = np.array([p.label for p in train_pairs], dtype=np.float64)
-    va_a = np.array([row_val[p.clip_a] for p in val_pairs])
-    va_b = np.array([row_val[p.clip_b] for p in val_pairs])
-    va_y = np.array([p.label for p in val_pairs], dtype=np.float64)
+    tr_a, tr_b, tr_y = train_pairs.a, train_pairs.b, train_pairs.y.astype(np.float64)
+    va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
     params = net.init_params(train_cfg.seed, layer_dims)
     optimizer = net.OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate)

@@ -121,8 +121,7 @@ def random_init_model(run):
         split.subset("train"),
         pairs.PairingConfig(scheme="unbalanced", seed=E2E_SEED + 2),
     )
-    train_ids = sorted({cid for p in train_pairs for cid in (p.clip_a, p.clip_b)})
-    X = np.asarray([cache.vector(cid) for cid in train_ids], dtype=np.float64)
+    X = np.asarray([cache.vector(cid) for cid in train_pairs.ids], dtype=np.float64)
     means, stds = _feature_stats(X)
     dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
     return SiameseModel(init_params(E2E_SEED + 3, dims), 1.0, means, stds), cache, split

@@ -19,7 +19,7 @@ from efp.net import (
     save_history,
     train,
 )
-from efp.pairs import PairExample
+from efp.pairs import PairSet
 
 from oracles import (
     adam_step_oracle,
@@ -415,18 +415,18 @@ def cluster_cache(seed=20, n_per_class=6, dim=10):
 
 def cluster_pairs(cache):
     pos = [
-        PairExample(a, b, 1)
+        (a, b, 1)
         for i, a in enumerate(cache.clip_ids)
         for b in cache.clip_ids[i + 1 :]
         if cache.label_of(a) == cache.label_of(b)
     ]
     neg = [
-        PairExample(min(a, b), max(a, b), 0)
+        (min(a, b), max(a, b), 0)
         for i, a in enumerate(cache.clip_ids)
         for b in cache.clip_ids[i + 1 :]
         if cache.label_of(a) != cache.label_of(b)
     ]
-    return pos + neg
+    return PairSet.from_rows(pos + neg)
 
 
 def test_train_smoke_learns_and_reproduces():
@@ -526,7 +526,7 @@ def test_train_with_identical_features_leaves_params_at_init():
         labels=["c", "c"],
         matrix=np.stack([row, row]),
     )
-    pairs = [PairExample("c/a#0", "c/b#0", 1)]
+    pairs = PairSet.from_rows([("c/a#0", "c/b#0", 1)])
     cfg = TrainConfig(epochs=3, batch_size=4, optimizer="sgd", dropout=0.0, seed=2)
     result = train(pairs, pairs, cache, cfg, layer_dims=(dim, 6, 4))
     init = init_params(2, (dim, 6, 4))
@@ -539,9 +539,9 @@ def test_train_rejects_bad_inputs():
     cache = cluster_cache()
     pairs = cluster_pairs(cache)
     with pytest.raises(DataError):
-        train([], pairs, cache)
+        train(PairSet.from_rows([]), pairs, cache)
     with pytest.raises(DataError):
-        train(pairs, [PairExample("ghost/a#0", "ghost/b#0", 1)], cache)
+        train(pairs, PairSet.from_rows([("ghost/a#0", "ghost/b#0", 1)]), cache)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
