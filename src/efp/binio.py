@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import DataError
 
+# Values per write in write_f32_array (1 MB of float32)
+WRITE_BLOCK = 1 << 18
+
 
 def read_exact(f: BinaryIO, n: int) -> bytes:
     data = f.read(n)
@@ -90,7 +93,11 @@ def read_str(f: BinaryIO) -> str:
 
 
 def write_f32_array(f: BinaryIO, a: np.ndarray) -> None:
-    f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+    """``a``'s values as float32, converted and written ``WRITE_BLOCK`` at a
+    time, so a large float64 array is never copied whole."""
+    a = np.ravel(a)
+    for start in range(0, a.size, WRITE_BLOCK):
+        f.write(a[start : start + WRITE_BLOCK].astype("<f4"))
 
 
 def read_f32_array(f: BinaryIO, count: int) -> np.ndarray:
@@ -128,17 +135,35 @@ def write_records(f: BinaryIO, ids, labels, matrix: np.ndarray) -> None:
         write_f32_array(f, row)
 
 
-def read_records(f: BinaryIO, count: int, dim: int, path):
-    """(ids, labels, float32 matrix) of ``count`` records, read row by row."""
+def read_records(f: BinaryIO, count: int, dim: int, path, wanted=None):
+    """(ids, labels, float32 matrix) of ``count`` records, read one at a time.
+
+    With ``wanted``, a set of ids, only those records are kept, in file order:
+    every id and label is still read, and the floats of the other rows are
+    skipped. Either way every id must be unique and every wanted id present.
+    """
     # per row: two string length prefixes and dim float32 values
     check_fits(f, count, 8 + 4 * dim, path)
-    ids, labels = [], []
-    matrix = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        ids.append(read_str(f))
-        labels.append(read_str(f))
-        matrix[i] = read_f32_array(f, dim)
-    return ids, labels, matrix
+    n_rows = count if wanted is None else min(count, len(wanted))
+    matrix = np.empty((n_rows, dim), dtype=np.float32)
+    ids, labels, seen = [], [], set()
+    for _ in range(count):
+        cid, label = read_str(f), read_str(f)
+        if cid in seen:
+            raise DataError(f"{path}: duplicate clip_id {cid!r}")
+        seen.add(cid)
+        if wanted is None or cid in wanted:
+            matrix[len(ids)] = read_f32_array(f, dim)
+            ids.append(cid)
+            labels.append(label)
+        else:
+            f.seek(4 * dim, os.SEEK_CUR)
+    # a seek past the end does not fail, so a skipped last row may not fit
+    if f.tell() > os.fstat(f.fileno()).st_size:
+        raise DataError(f"{path}: truncated file: the last record runs past the end")
+    if wanted is not None and len(ids) < len(wanted):
+        raise DataError(f"{path}: clip {min(set(wanted).difference(ids))!r} not in file")
+    return ids, labels, matrix[: len(ids)]
 
 
 class LabeledRows:

@@ -179,13 +179,14 @@ def cmd_train(args) -> int:
     train_cfg = _config(TrainConfig, args, seed=_stage_seed(args, "train"))
     loss_cfg = _config(LossConfig, args)
     manifest = corpus.Manifest.load(args.manifest)
-    cache = FeatureCache.load(args.cache)
     train_records = manifest.subset("train")
     val_records = manifest.subset("val")
     if not train_records or not val_records:
         raise DataError("manifest lacks train or val clips; run split first")
     train_pairs = pairs.make_pairs(train_records, pairing)
     val_pairs = pairs.make_pairs(val_records, pairing)
+    # only the rows of the clips in some pair
+    cache = FeatureCache.load(args.cache, train_pairs.ids + val_pairs.ids)
     result = net.train(train_pairs, val_pairs, cache, train_cfg, loss_cfg)
     result.model.save(args.out)
     history_path = args.history or os.path.splitext(args.out)[0] + "_history.csv"
@@ -201,7 +202,6 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     model = SiameseModel.load(args.model)
-    cache = FeatureCache.load(args.cache)
     if args.manifest is not None:
         manifest = corpus.Manifest.load(args.manifest)
         records = manifest.records if args.split == "all" else manifest.subset(args.split)
@@ -210,6 +210,8 @@ def cmd_index(args) -> int:
         clip_ids = [r.clip_id for r in records]
     else:
         clip_ids = None
+    # only the rows of the clips indexed
+    cache = FeatureCache.load(args.cache, clip_ids)
     idx = build_index(model, cache, clip_ids)
     idx.save(args.out)
     print(f"indexed {len(idx)} clips ({idx.dim}-d embeddings) -> {args.out}")

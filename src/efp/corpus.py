@@ -6,11 +6,11 @@ import csv
 import logging
 import math
 import os
+import wave
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import wav
 from .errors import DataError
@@ -241,7 +241,12 @@ def generate_synthetic(
             name = f"{label}_{i:03d}.wav"
             path = os.path.join(class_dir, name)
             try:
-                wavfile.write(path, rate_hz, (samples * 32767.0).round().astype(np.int16))
+                # 16-bit PCM mono, the bytes scipy.io.wavfile.write gives
+                with wave.open(path, "wb") as out:
+                    out.setnchannels(1)
+                    out.setsampwidth(2)
+                    out.setframerate(rate_hz)
+                    out.writeframes((samples * 32767.0).round().astype("<i2").tobytes())
             except OSError as exc:
                 raise DataError(f"{path}: cannot write WAV ({exc})") from exc
             records.append(

@@ -189,12 +189,16 @@ class FeatureCache(binio.LabeledRows):
             binio.write_records(f, self.clip_ids, self.labels, self.matrix)
 
     @classmethod
-    def load(cls, path) -> "FeatureCache":
+    def load(cls, path, clip_ids: Iterable[str] | None = None) -> "FeatureCache":
+        """The cache in ``path``; with ``clip_ids``, only those clips' rows, in
+        file order, and a data error if one is missing. The whole file is
+        checked either way: its size, and that no clip id repeats."""
+        wanted = None if clip_ids is None else set(clip_ids)
         with binio.open_artifact(path, CACHE_MAGIC, CACHE_VERSION, cls.kind) as f:
             freq_bins = binio.read_u32(f)
             time_bins = binio.read_u32(f)
             count = binio.read_u64(f)
-            records = binio.read_records(f, count, freq_bins * time_bins, path)
+            records = binio.read_records(f, count, freq_bins * time_bins, path, wanted)
         return cls(freq_bins, time_bins, *records)
 
 
@@ -212,9 +216,11 @@ def featurize_manifest(
     by_path: dict[str, list] = {}
     for rec in records:
         by_path.setdefault(rec.source_path, []).append(rec)
+    # one row per record, written in place; the rows of clips that fail are
+    # trimmed off the end
+    matrix = np.empty((sum(map(len, by_path.values())), feat_cfg.dim), dtype=np.float32)
     ids: list[str] = []
     labels: list[str] = []
-    rows: list[np.ndarray] = []
     errors: list[str] = []
     for path in sorted(by_path):
         wanted = {rec.segment_index: rec for rec in by_path[path]}
@@ -227,11 +233,11 @@ def featurize_manifest(
             rec = wanted.pop(i, None)
             if rec is None:
                 continue
-            rows.append(featurize_clip(clip, stft_cfg, feat_cfg).values.astype(np.float32))
+            matrix[len(ids)] = featurize_clip(clip, stft_cfg, feat_cfg).values
             ids.append(rec.clip_id)
             labels.append(rec.class_label)
         for rec in sorted(wanted.values(), key=lambda r: r.segment_index):
             errors.append(f"{path}: segment {rec.segment_index} not present in decoded audio")
-    matrix = np.asarray(rows, dtype=np.float32).reshape(len(rows), feat_cfg.dim)
-    cache = FeatureCache(feat_cfg.freq_bins, feat_cfg.time_bins, ids, labels, matrix)
+    cache = FeatureCache(feat_cfg.freq_bins, feat_cfg.time_bins, ids, labels,
+                         matrix[: len(ids)])
     return cache, errors

@@ -23,6 +23,9 @@ FINGERPRINT_BYTES = 32
 
 # Query rows per GEMM in knn_all; bounds its (rows x entries) key matrix.
 KNN_BLOCK_ROWS = 256
+# Rows per embed call in build_index; bounds its standardized float64 rows
+# (7 MB at 13509 values a row) at about the speed of one call for all rows.
+EMBED_BLOCK_ROWS = 64
 # Sorted GEMM keys closer than TIE_SLACK * (dim + 3) * eps * scale may be
 # ordered differently by the direct formula (see rank).
 TIE_SLACK = 8
@@ -110,13 +113,20 @@ def build_index(
     cache: FeatureCache,
     clip_ids: Sequence[str] | None = None,
 ) -> EmbeddingIndex:
-    """Embed the given clips (default: whole cache) in input order."""
+    """Embed the given clips (default: whole cache) in input order,
+    ``EMBED_BLOCK_ROWS`` at a time into one float32 matrix."""
     if clip_ids is None:
         clip_ids = list(cache.clip_ids)
     if len(clip_ids) == 0:
         raise DataError("cannot build an index from zero clips")
-    # float32 as cached; the model widens them while normalizing
-    embeddings = model.embed(cache.rows(clip_ids)).astype(np.float32)
+    rows = [cache.row_of(cid) for cid in clip_ids]
+    embeddings = np.empty((len(rows), model.params.layer_dims[-1]), dtype=np.float32)
+    # a lone last row joins the block before it: numpy multiplies a single row
+    # as a vector, which rounds differently from a row of a matrix product
+    starts = range(0, max(len(rows) - 1, 1), EMBED_BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], len(rows)]):
+        # float32 as cached; the model widens them while normalizing
+        embeddings[start:stop] = model.embed(cache.matrix[rows[start:stop]])
     return EmbeddingIndex(
         clip_ids=list(clip_ids),
         labels=[cache.label_of(cid) for cid in clip_ids],

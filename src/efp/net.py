@@ -22,7 +22,8 @@ parameter-sized array: ``train`` reuses one gradient for every batch, and
 both optimizers update the vector in place, ``ADAM_BLOCK`` values at a time.
 Every value is still computed by the same operations in the same order as
 the plain formulas with fresh temporaries, so the results are bit-identical
-to them. The learning rate is a scalar or one rate per coordinate.
+to them. The learning rate is a scalar, and layer 0's weights may instead
+take one rate per input column.
 
 The feature pooling copies filled bands and time bins into empty ones, so
 most input columns repeat another (3,363 distinct of 13,509 on the
@@ -32,7 +33,10 @@ holds the sum of its columns' weights and steps with the learning rate times
 the group's size n_c, which is how the sum moves when each of its columns
 takes the same per-coordinate step. At the end it expands the groups back to
 the full width, each column moved by 1/n_c of its group's move, so the model
-file, ``forward_eval`` and ``embed`` see the full-width network.
+file, ``forward_eval`` and ``embed`` see the full-width network. The
+expansion draws, expands and rounds one full-width vector in place, which
+the model then keeps, and gathers full-width columns a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import logging
+import types
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,13 +166,17 @@ class TrainConfig:
 
 
 def init_params(seed: int, layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS) -> MlpParams:
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), zero biases. Each
+    weight matrix is drawn in place as ``rng.uniform(-limit, limit)`` draws
+    it, low + (high - low) * u with the same roundings."""
     rng = np.random.default_rng([seed])
     params = MlpParams.from_flat(layer_dims, np.zeros(_param_count(layer_dims)))
     for w in params.weights:
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w[...] = rng.uniform(-limit, limit, size=w.shape)
+        rng.random(out=w)
+        w *= limit - -limit
+        w += -limit
     return params
 
 
@@ -302,67 +311,95 @@ def _blocks(size: int):
     return (slice(start, start + ADAM_BLOCK) for start in range(0, size, ADAM_BLOCK))
 
 
-def _rate(learning_rate: float | np.ndarray, block: slice) -> float | np.ndarray:
-    """The learning rate of the coordinates in ``block``: a scalar applies to
-    every coordinate, a vector shaped like ``flat`` gives one per coordinate."""
-    return learning_rate[block] if np.ndim(learning_rate) else learning_rate
+def _row_blocks(n_rows: int, width: int):
+    """Slices of whole rows of a (n_rows, width) matrix, about ``ADAM_BLOCK``
+    values (and at least one row) each."""
+    step = max(1, ADAM_BLOCK // width)
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
+def _rate_blocks(params: MlpParams, learning_rate: float,
+                 column_rates: np.ndarray | None) -> list[tuple[slice, tuple, object]]:
+    """(slice of ``params.flat``, shape, learning rate) of each block an
+    optimizer walks. With ``column_rates``, one per input column, layer 0's
+    weights come first, in blocks of whole rows shaped (rows, in_dim) that the
+    column rates broadcast over; the rest of the vector, or all of it, goes
+    ``ADAM_BLOCK`` values at a time at the scalar ``learning_rate``."""
+    out, start = [], 0
+    if column_rates is not None:
+        out_dim, in_dim = params.weights[0].shape
+        if np.shape(column_rates) != (in_dim,):
+            raise ValueError(f"column rates of shape {np.shape(column_rates)} for "
+                             f"{in_dim} input columns")
+        for rows in _row_blocks(out_dim, in_dim):
+            out.append((slice(rows.start * in_dim, rows.stop * in_dim),
+                        (rows.stop - rows.start, in_dim), column_rates))
+        start = out_dim * in_dim
+    size = params.flat.size
+    for start in range(start, size, ADAM_BLOCK):
+        stop = min(start + ADAM_BLOCK, size)
+        out.append((slice(start, stop), (stop - start,), learning_rate))
+    return out
 
 
 class SgdOptimizer:
-    """p -= lr * grad, with ``lr`` a scalar or a vector shaped like
-    ``params.flat``."""
+    """p -= lr * grad, with ``lr`` the scalar learning rate or, with
+    ``column_rates``, each layer-0 weight's input column's rate."""
 
-    def __init__(self, params: MlpParams, learning_rate: float | np.ndarray):
+    def __init__(self, params: MlpParams, learning_rate: float,
+                 column_rates: np.ndarray | None = None):
         self.params = params
-        self.lr = learning_rate
-        self._scratch = np.empty(ADAM_BLOCK)
+        self._blocks = _rate_blocks(params, learning_rate, column_rates)
+        self._scratch = np.empty(max(b.stop - b.start for b, _, _ in self._blocks))
 
     def step(self, grad: np.ndarray) -> None:
         """Update the parameters in place from a gradient shaped like ``flat``."""
         p = self.params.flat
-        for block in _blocks(p.size):
-            s = self._scratch[: p[block].size]
-            np.multiply(_rate(self.lr, block), grad[block], out=s)
-            p[block] -= s
+        for block, shape, lr in self._blocks:
+            pb = p[block].reshape(shape)
+            s = self._scratch[: pb.size].reshape(shape)
+            np.multiply(lr, grad[block].reshape(shape), out=s)
+            pb -= s
 
 
 class AdamOptimizer:
     """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments ``m``
     and ``v``, each one vector shaped like ``params.flat``. The learning rate
-    is a scalar or a vector shaped like ``params.flat``."""
+    is a scalar; with ``column_rates``, each layer-0 weight steps at its input
+    column's rate instead."""
 
     def __init__(
         self,
         params: MlpParams,
-        learning_rate: float | np.ndarray,
+        learning_rate: float,
+        column_rates: np.ndarray | None = None,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
         self.params = params
-        self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
-        self._scratch = np.empty((2, ADAM_BLOCK))
+        self._blocks = _rate_blocks(params, learning_rate, column_rates)
+        self._scratch = np.empty((2, max(b.stop - b.start for b, _, _ in self._blocks)))
 
     def step(self, grad: np.ndarray) -> None:
         """Update the parameters in place from a gradient shaped like ``flat``."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        p = self.params.flat
-        for block in _blocks(p.size):
-            self._update(p[block], grad[block], self.m[block], self.v[block],
-                         _rate(self.lr, block), c1, c2)
+        arrays = (self.params.flat, grad, self.m, self.v)
+        for block, shape, lr in self._blocks:
+            self._update(*(a[block].reshape(shape) for a in arrays), lr, c1, c2)
 
     def _update(self, p, g, m, v, lr, c1: float, c2: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
         p -= lr * (m/c1) / (sqrt(v/c2) + eps), one operation at a time."""
-        s1, s2 = self._scratch[0, : p.size], self._scratch[1, : p.size]
+        s1, s2 = (s[: p.size].reshape(p.shape) for s in self._scratch)
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, g, out=s1)
         v *= self.beta2
@@ -384,13 +421,23 @@ def _quantize_f32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
+def _round_f32(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a``'s values, rounded to float32, into the float64 vector
+    ``out`` (which may be ``a``), a block at a time; returns ``out``."""
+    for block in _blocks(a.size):
+        out[block] = _quantize_f32(a[block])
+    return out
+
+
 @dataclass
 class SiameseModel:
     """Trained network bundled with its margin and normalization stats.
 
     All arrays are quantized to float32-representable values on construction
     so that a model behaves identically before and after a save/load
-    round-trip. A model file stores, after the magic and version, the layer
+    round-trip. A float64 parameter vector whose values float32 already holds
+    is kept as it is, not copied; any other is rounded into a new one, a block
+    at a time. A model file stores, after the magic and version, the layer
     count and widths (u32), the margin (f64), the means and stds and then
     ``params.flat``, each as one float32 block.
     """
@@ -401,8 +448,11 @@ class SiameseModel:
     feature_stds: np.ndarray
 
     def __post_init__(self):
-        self.params = MlpParams.from_flat(self.params.layer_dims,
-                                          _quantize_f32(self.params.flat))
+        flat = self.params.flat
+        if flat.dtype != np.float64 or not all(
+                np.array_equal(_quantize_f32(flat[b]), flat[b]) for b in _blocks(flat.size)):
+            flat = _round_f32(flat, np.empty(flat.shape))
+        self.params = MlpParams.from_flat(self.params.layer_dims, flat)
         self.feature_means = _quantize_f32(self.feature_means)
         self.feature_stds = _quantize_f32(self.feature_stds)
         if self.feature_means.shape != self.feature_stds.shape or self.feature_means.ndim != 1:
@@ -430,26 +480,33 @@ class SiameseModel:
         E = forward_eval(self.params, self.normalize(np.atleast_2d(X)))
         return E[0] if single else E
 
+    def _write(self, f) -> None:
+        """The model file's bytes, in pieces, to ``f.write``."""
+        f.write(MODEL_MAGIC)
+        binio.write_u32(f, MODEL_VERSION)
+        dims = self.params.layer_dims
+        binio.write_u32(f, len(dims))
+        for dim in dims:
+            binio.write_u32(f, dim)
+        binio.write_f64(f, self.margin)
+        binio.write_f32_array(f, self.feature_means)
+        binio.write_f32_array(f, self.feature_stds)
+        binio.write_f32_array(f, self.params.flat)
+
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
-        buf.write(MODEL_MAGIC)
-        binio.write_u32(buf, MODEL_VERSION)
-        dims = self.params.layer_dims
-        binio.write_u32(buf, len(dims))
-        for dim in dims:
-            binio.write_u32(buf, dim)
-        binio.write_f64(buf, self.margin)
-        binio.write_f32_array(buf, self.feature_means)
-        binio.write_f32_array(buf, self.feature_stds)
-        binio.write_f32_array(buf, self.params.flat)
+        self._write(buf)
         return buf.getvalue()
 
     def fingerprint(self) -> bytes:
-        return hashlib.sha256(self.to_bytes()).digest()
+        """SHA-256 of the model file's bytes, hashed as they are made."""
+        digest = hashlib.sha256()
+        self._write(types.SimpleNamespace(write=digest.update))
+        return digest.digest()
 
     def save(self, path) -> None:
         with binio.atomic_write(path) as f:
-            f.write(self.to_bytes())
+            self._write(f)
 
     @classmethod
     def load(cls, path) -> "SiameseModel":
@@ -502,11 +559,17 @@ def _column_groups(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first[order], renumber[group.reshape(-1)], counts[order]
 
 
-def _group_sums(w: np.ndarray, group: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Column c of the result is the sum of ``w``'s columns in group c."""
-    # the columns sorted by group, each group's run summed
+def _group_sums(w: np.ndarray, group: np.ndarray, counts: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write into column c of ``out`` the sum of ``w``'s columns in group c;
+    returns ``out``."""
+    # the columns sorted by group, each group's run summed, a block of rows
+    # at a time
     order = np.argsort(group, kind="stable")
-    return np.add.reduceat(w[:, order], np.cumsum(counts) - counts, axis=1)
+    starts = np.cumsum(counts) - counts
+    for rows in _row_blocks(*w.shape):
+        out[rows] = np.add.reduceat(w[rows][:, order], starts, axis=1)
+    return out
 
 
 def _fold(params: MlpParams, group: np.ndarray, counts: np.ndarray) -> MlpParams:
@@ -514,21 +577,9 @@ def _fold(params: MlpParams, group: np.ndarray, counts: np.ndarray) -> MlpParams
     is the sum of ``params``' columns in group c, the other layers are copied."""
     dims = (counts.size,) + params.layer_dims[1:]
     folded = MlpParams.from_flat(dims, np.zeros(_param_count(dims)))
-    folded.weights[0][...] = _group_sums(params.weights[0], group, counts)
+    _group_sums(params.weights[0], group, counts, folded.weights[0])
     folded.flat[folded.weights[0].size :] = params.flat[params.weights[0].size :]
     return folded
-
-
-def _group_rates(dims: Sequence[int], counts: np.ndarray,
-                 learning_rate: float) -> float | np.ndarray:
-    """The learning rate of each coordinate of the folded network: layer 0's
-    weights in group c step with ``learning_rate`` times n_c. With no repeated
-    column that is ``learning_rate`` everywhere, which stays a scalar."""
-    if counts.max() == 1:
-        return learning_rate
-    rates = MlpParams.from_flat(dims, np.full(_param_count(dims), learning_rate))
-    rates.weights[0][...] *= counts
-    return rates.flat
 
 
 def train(
@@ -579,8 +630,11 @@ def train(
     va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
     params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
-    optimizer = OPTIMIZERS[train_cfg.optimizer](
-        params, _group_rates(params.layer_dims, counts, train_cfg.learning_rate))
+    # layer 0's weights in group c step at the learning rate times n_c; with
+    # no repeated column that is the learning rate, which the scalar path
+    # steps faster
+    column_rates = None if counts.max() == 1 else train_cfg.learning_rate * counts
+    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate, column_rates)
     grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
@@ -636,14 +690,18 @@ def train(
     del params, optimizer, grads
     full = init_params(train_cfg.seed, layer_dims)
     w0, w0g = full.weights[0], best_params.weights[0]
-    move = _group_sums(w0, group, counts)
+    move = _group_sums(w0, group, counts, np.empty(w0g.shape))
     np.subtract(w0g, move, out=move)
     move /= counts
-    w0 += move[:, group]
+    for rows in _row_blocks(*w0.shape):
+        w0[rows] += move[rows][:, group]
     del move
     alone = counts == 1
     w0[:, first[alone]] = w0g[:, alone]
     full.flat[w0.size :] = best_params.flat[w0g.size :]
+    # rounded in place, the vector becomes the model's without a copy
+    del best_params, w0g
+    _round_f32(full.flat, full.flat)
     model = SiameseModel(
         params=full,
         margin=loss_cfg.margin,

@@ -2,10 +2,11 @@
 
 A ``PairSet`` holds pairs as index arrays: pair k is ``ids[a[k]]`` and
 ``ids[b[k]]`` with label ``y[k]`` (1: same class). ``ids`` are the sorted ids
-of the clips in some pair and no others. The schemes take every pair (i, j),
-i < j, of the sorted clip ids from one ``np.triu_indices``: the positives
-first, by class label and then in ``itertools.combinations`` order, then the
-negatives in (i, j) order.
+of the clips in some pair and no others. The schemes order the pairs (i, j),
+i < j, of the sorted clip ids with the positives first, by class label and
+then in ``itertools.combinations`` order, then the negatives in (i, j) order.
+A negative is found from its rank in that order, so a scheme builds only the
+negatives it keeps.
 """
 
 from __future__ import annotations
@@ -67,52 +68,107 @@ class PairingConfig:
             raise ValueError("max_negatives_per_clip must be >= 1 when set")
 
 
-def _index_pairs(clips: Sequence[ClipRecord], scheme: str | None = None):
-    """The sorted clip ids, every index pair over them in the module docstring's
-    order, and the number of positives. A named scheme needs 2+ classes."""
+def _classes(clips: Sequence[ClipRecord], scheme: str | None = None):
+    """The sorted clip ids and the class of each, numbered in label order. A
+    named scheme needs 2+ classes."""
     label_of = {rec.clip_id: rec.class_label for rec in clips}
     ids = sorted(label_of)
     classes, codes = np.unique([label_of[c] for c in ids], return_inverse=True)
     if scheme is not None and classes.size < 2:
         raise DataError(f"{scheme} pairing needs at least 2 classes")
-    first, second = np.triu_indices(len(ids), 1)
-    same = codes[first] == codes[second]
-    # row-major order within a class is combinations order; the stable sort puts
-    # each class's pairs first, and the negatives (keyed past them) last
-    order = np.argsort(np.where(same, codes[first], classes.size), kind="stable")
-    return ids, first[order], second[order], int(same.sum())
+    return ids, codes
 
 
-def _pair_set(ids: list[str], a: np.ndarray, b: np.ndarray, n_pos: int) -> PairSet:
-    """Pairs (ids[a[k]], ids[b[k]]), the first n_pos positive, on the clips used."""
+def _positives(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every same-class index pair (i, j), i < j, class by class in label order;
+    row-major order within a class is ``itertools.combinations`` order."""
+    first, second = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for k in range(codes.max(initial=-1) + 1):
+        members = np.flatnonzero(codes == k)
+        i, j = np.triu_indices(members.size, 1)
+        first.append(members[i])
+        second.append(members[j])
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _all_negatives(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cross-class index pair (i, j), i < j, in row-major order."""
+    first, second = np.triu_indices(codes.size, 1)
+    cross = codes[first] != codes[second]
+    return first[cross], second[cross]
+
+
+def _negative_count(codes: np.ndarray) -> int:
+    sizes = np.bincount(codes)
+    return (codes.size * (codes.size - 1) - int(np.sum(sizes * (sizes - 1)))) // 2
+
+
+def _negatives(codes: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-class index pairs (i, j), i < j, of the given ascending ranks
+    in ``_all_negatives``' order, decoded without enumerating them."""
+    n = codes.size
+    sizes = np.bincount(codes)
+    class_start = np.cumsum(sizes) - sizes
+    # members: the clips class by class, ascending; place: i's place in its class
+    members = np.argsort(codes, kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[members] = np.arange(n) - np.repeat(class_start, sizes)
+    # row i holds the j > i of other classes; q counts, from 0, the clips of
+    # other classes up to and including j: i - place[i] at or before i, and
+    # then the offset into the row
+    row_count = np.arange(n - 1, -1, -1) - (sizes[codes] - 1 - place)
+    row_end = np.cumsum(row_count)
+    i = np.searchsorted(row_end, ranks, side="right")
+    q = ranks - (row_end - row_count)[i]
+    q += i - place[i]
+    # the q-th clip outside class k is q plus the number of k's members m_p
+    # (p-th of the class) with m_p - p <= q; every class's m_p - p, offset by
+    # k * (n + 1), forms one ascending key
+    key = codes[members] * (n + 1) + members - place[members]
+    k = codes[i]
+    j = np.searchsorted(key, k * (n + 1) + q, side="right") - class_start[k]
+    j += q
+    return i, j
+
+
+_NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
+
+
+def _pair_set(ids: list[str], positives, negatives=_NO_PAIRS) -> PairSet:
+    """The positive index pairs (first, second) over ``ids``, then the
+    negative ones, as one ``PairSet`` on the clips used."""
     used = np.zeros(len(ids), dtype=bool)
-    used[a] = used[b] = True
+    for index in (*positives, *negatives):
+        used[index] = True
     new_index = np.cumsum(used, dtype=np.int32) - 1
-    y = (np.arange(a.size) < n_pos).astype(np.int8)
-    return PairSet([c for c, u in zip(ids, used.tolist()) if u], new_index[a], new_index[b], y)
+    a, b = (np.concatenate((new_index[p], new_index[n])) for p, n in zip(positives, negatives))
+    y = np.zeros(a.size, dtype=np.int8)
+    y[: positives[0].size] = 1
+    return PairSet([c for c, u in zip(ids, used.tolist()) if u], a, b, y)
 
 
 def positive_pairs(clips: Sequence[ClipRecord]) -> PairSet:
     """All same-class pairs, label 1, each once with clip_a < clip_b."""
-    ids, first, second, n_pos = _index_pairs(clips)
-    return _pair_set(ids, first[:n_pos], second[:n_pos], n_pos)
+    ids, codes = _classes(clips)
+    return _pair_set(ids, _positives(codes))
 
 
 def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
     """All positives plus an equal number of cross-class negatives.
 
     The negatives are a seeded uniform draw, without replacement, from the
-    unbalanced scheme's negatives, kept in their canonical order.
+    unbalanced scheme's negatives, kept in their canonical order; only the
+    drawn ones are built.
     """
-    ids, first, second, n_pos = _index_pairs(clips, "balanced")
-    n_neg = first.size - n_pos
+    ids, codes = _classes(clips, "balanced")
+    positives = _positives(codes)
+    n_pos, n_neg = positives[0].size, _negative_count(codes)
     if n_neg < n_pos:
         raise DataError(f"corpus has only {n_neg} distinct cross-class pairs but "
                         f"{n_pos} positives; cannot balance")
     rng = np.random.default_rng([cfg.seed])
     picks = np.sort(rng.choice(n_neg, size=n_pos, replace=False))
-    keep = np.concatenate((np.arange(n_pos), n_pos + picks))
-    return _pair_set(ids, first[keep], second[keep], n_pos)
+    return _pair_set(ids, positives, _negatives(codes, picks))
 
 
 def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
@@ -122,10 +178,11 @@ def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet
     negatives where it is the anchor (clip_a), one run of ``first``: a longer
     run keeps a seeded draw without replacement, in order, anchor by anchor.
     """
-    ids, first, second, n_pos = _index_pairs(clips, "unbalanced")
+    ids, codes = _classes(clips, "unbalanced")
+    first, second = _all_negatives(codes)
     cap = cfg.max_negatives_per_clip
     if cap is not None:
-        starts = n_pos + np.flatnonzero(np.diff(first[n_pos:], prepend=-1))
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
         lengths = np.diff(starts, append=first.size)
         rng = np.random.default_rng([cfg.seed])
         keep = np.ones(first.size, dtype=bool)
@@ -133,7 +190,7 @@ def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet
             keep[start : start + length] = False
             keep[start + rng.choice(length, size=cap, replace=False)] = True
         first, second = first[keep], second[keep]
-    return _pair_set(ids, first, second, n_pos)
+    return _pair_set(ids, _positives(codes), (first, second))
 
 
 def make_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DataError
 
@@ -73,6 +72,10 @@ def read_wav_mono(path: str | os.PathLike, target_rate_hz: int) -> np.ndarray:
     Raises DataError for unreadable files, non-WAV containers, unsupported
     sample formats, and zero-length audio.
     """
+    # imported here, so that the stages that never read a WAV do not pay for
+    # importing scipy
+    from scipy.io import wavfile
+
     try:
         src_rate, data = wavfile.read(os.fspath(path))
     except FileNotFoundError as exc:

@@ -365,6 +365,65 @@ def test_invalid_utf8_in_cache_index_and_manifest_exits_2(pipeline, tmp_path, ca
         assert bad_file in err, err
 
 
+def rewrite_cache(src, dst, ids):
+    """``src``'s records of ``ids``, in that order, written to ``dst`` as they
+    are, unchecked: an id may repeat, keeping the row of its first record."""
+    from efp.features import CACHE_MAGIC, CACHE_VERSION
+
+    cache = FeatureCache.load(src)
+    with open(dst, "wb") as f:
+        f.write(CACHE_MAGIC)
+        binio.write_u32(f, CACHE_VERSION)
+        binio.write_u32(f, cache.freq_bins)
+        binio.write_u32(f, cache.time_bins)
+        binio.write_u64(f, len(ids))
+        binio.write_records(f, ids, [cache.label_of(c) for c in ids], cache.rows(ids))
+    return str(dst)
+
+
+@pytest.mark.parametrize("stage", ["train", "index"])
+def test_cache_faults_in_rows_a_stage_skips_exit_2(pipeline, tmp_path, capsys, stage):
+    """train reads only its train and val rows, and index only the rows it
+    indexes, yet a cache that is cut inside a skipped row, or repeats an id
+    among the skipped rows, fails as it does for a full load; so does a cache
+    that lacks a clip the stage needs."""
+    split = corpus.Manifest.load(pipeline["split"])
+    used = [r.clip_id for r in split.subset("test")]
+    if stage == "train":
+        used = [r.clip_id for r in split.subset("train") + split.subset("val")]
+    skipped = [c for c in FeatureCache.load(pipeline["cache"]).clip_ids if c not in used]
+    assert len(skipped) >= 2
+    cut = rewrite_cache(pipeline["cache"], tmp_path / "cut.bin", used + skipped)
+    Path(cut).write_bytes(Path(cut).read_bytes()[:-6])
+    twice = rewrite_cache(pipeline["cache"], tmp_path / "twice.bin",
+                          used + skipped[:-1] + skipped[:1])
+    missing = rewrite_cache(pipeline["cache"], tmp_path / "missing.bin", used[1:] + skipped)
+    capsys.readouterr()
+    for cache, message in ((cut, "truncated"), (twice, "duplicate clip_id"),
+                           (missing, f"{used[0]!r} not in file")):
+        if stage == "train":
+            argv = ["train", "--manifest", str(pipeline["split"]), "--cache", cache,
+                    "--epochs", "1", "--out", str(tmp_path / "m.bin")]
+        else:
+            argv = ["index", "--model", str(pipeline["model"]), "--cache", cache,
+                    "--manifest", str(pipeline["split"]), "--out", str(tmp_path / "i.bin")]
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, err
+
+
+def test_import_leaves_scipy_out():
+    """Only reading and writing WAV files needs scipy, so the stages that do
+    neither do not pay for importing it."""
+    import subprocess
+
+    code = "import sys, efp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_unwritable_outputs_exit_2(pipeline, tmp_path, capsys):
     """An output in a missing directory, or an output directory that is a
     file, is a data error that names the output, not a traceback."""

@@ -299,3 +299,72 @@ def test_featurize_manifest_full_success(tiny_corpus_dir):
     assert len(cache) == len(manifest.records)
     assert set(cache.clip_ids) == {r.clip_id for r in manifest.records}
     assert cache.matrix.dtype == np.float32
+
+
+def write_cache_file(path, dim, ids, labels, matrix):
+    """A cache file with these records as they are, unchecked, so that it
+    may repeat an id."""
+    from efp import binio
+    from efp.features import CACHE_MAGIC, CACHE_VERSION
+
+    with open(path, "wb") as f:
+        f.write(CACHE_MAGIC)
+        binio.write_u32(f, CACHE_VERSION)
+        binio.write_u32(f, dim)
+        binio.write_u32(f, 1)
+        binio.write_u64(f, len(ids))
+        binio.write_records(f, ids, labels, matrix)
+
+
+def test_cache_load_of_some_clips_keeps_their_rows_in_file_order(tmp_path):
+    cache = _small_cache()
+    path = tmp_path / "feats.efpf"
+    cache.save(path)
+    part = FeatureCache.load(path, ["d", "b"])
+    assert part.clip_ids == ["b", "d"]
+    assert part.labels == ["x", ""]
+    assert part.matrix.tobytes() == cache.matrix[[1, 3]].tobytes()
+    assert (part.freq_bins, part.time_bins) == (2, 3)
+    assert len(FeatureCache.load(path, [])) == 0
+
+
+def test_cache_load_of_some_clips_checks_the_rows_it_skips(tmp_path):
+    """A truncated skipped last row, an id repeated among skipped rows and a
+    missing wanted clip are data errors, as they are for a full load."""
+    matrix = np.arange(12, dtype=np.float32).reshape(4, 3)
+    whole = tmp_path / "whole.efpf"
+    write_cache_file(whole, 3, ["a", "b", "c", "d"], ["x"] * 4, matrix)
+    cut = tmp_path / "cut.efpf"
+    cut.write_bytes(whole.read_bytes()[:-5])  # inside d's floats
+    twice = tmp_path / "twice.efpf"
+    write_cache_file(twice, 3, ["a", "b", "c", "c"], ["x"] * 4, matrix)
+    for path, match in ((cut, "truncated"), (twice, "duplicate clip_id 'c'")):
+        for wanted in (None, ["a", "b"]):
+            with pytest.raises(DataError, match=match):
+                FeatureCache.load(path, wanted)
+    with pytest.raises(DataError, match="'e' not in file"):
+        FeatureCache.load(whole, ["a", "e"])
+
+
+def test_featurize_manifest_holds_one_cache_matrix(tmp_path):
+    """The rows go straight into the cache's matrix: no list of rows and no
+    second copy of them."""
+    import tracemalloc
+
+    from efp.corpus import ClipRecord
+
+    rng = np.random.default_rng(6)
+    records = []
+    for i in range(100):
+        path = tmp_path / f"c{i:03d}.wav"
+        write_wav(path, 0.1 * rng.standard_normal(32000))
+        records.append(ClipRecord(f"c{i:03d}#0", str(path), 0, "x"))
+    tracemalloc.start()
+    try:
+        cache, errors = featurize_manifest(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [] and len(cache) == 100
+    # a clip's decode and STFT transients are about 2 MB; two matrices were 2.1x
+    assert peak < 1.5 * cache.matrix.nbytes

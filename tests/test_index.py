@@ -5,7 +5,7 @@ import pytest
 
 from efp.errors import DataError
 from efp.features import FeatureCache
-from efp.index import EmbeddingIndex, build_index, knn_all, query
+from efp.index import EMBED_BLOCK_ROWS, EmbeddingIndex, build_index, knn_all, query
 from efp.net import MlpParams, SiameseModel, init_params
 
 from oracles import cosine_oracle, euclidean_oracle, ranking_oracle
@@ -68,6 +68,40 @@ def test_build_index_subset_and_rebuild_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     with pytest.raises(DataError):
         build_index(model, cache, [])
+
+
+@pytest.mark.parametrize("tail", [3, 1])
+def test_blocked_build_equals_one_embed_call(tail):
+    """Two full blocks and a short one (a lone last row joins the block
+    before it) give the rows one embed call over all of them gives."""
+    n = 2 * EMBED_BLOCK_ROWS + tail
+    cache = small_cache(n=n, dim=40, seed=4)
+    model = SiameseModel(params=init_params(5, (40, 16, 8)), margin=1.0,
+                         feature_means=np.full(40, 0.25), feature_stds=np.full(40, 1.5))
+    ids = cache.clip_ids[::-1]
+    index = build_index(model, cache, ids)
+    want = model.embed(cache.rows(ids)).astype(np.float32)
+    assert index.matrix.tobytes() == want.tobytes()
+
+
+def test_build_index_holds_a_few_blocks_not_the_standardized_rows():
+    import tracemalloc
+
+    n, dim = 1000, 2000
+    cache = small_cache(n=n, dim=dim, seed=6)
+    model = SiameseModel(params=init_params(7, (dim, 64, 32)), margin=1.0,
+                         feature_means=np.zeros(dim), feature_stds=np.ones(dim))
+    tracemalloc.start()
+    try:
+        index = build_index(model, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == n
+    # one block is its float32 rows and their float64 standardized copy; the
+    # rows of all n clips standardized at once were 16 MB
+    block = EMBED_BLOCK_ROWS * dim * (4 + 8)
+    assert peak < 3 * block < n * dim * 8 / 2
 
 
 def test_zero_weight_model_still_indexes():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -295,29 +297,55 @@ def test_blocked_adam_equals_whole_array_oracle():
         assert np.array_equal(opt.v, vs[0])
 
 
+def per_coordinate_rates(params, lr, column_rates):
+    """The learning rate of every coordinate of ``params.flat``: layer 0's
+    weights at their column's rate, the rest at ``lr``."""
+    rates = np.full(params.flat.size, lr)
+    rates[: params.weights[0].size] = np.broadcast_to(column_rates, params.weights[0].shape).ravel()
+    return rates
+
+
+# layer 0's weights in blocks of several whole rows, of one row longer than
+# ADAM_BLOCK, and of one row each; a second layer makes the rest span blocks
+W0_SHAPES = [(7, 9001), (2, 2 * ADAM_BLOCK + 3), (3, ADAM_BLOCK - 1)]
+
+
+def two_layer_params(rng, w0_shape):
+    return MlpParams(weights=[rng.standard_normal(w0_shape), rng.standard_normal((5, w0_shape[0]))],
+                     biases=[np.zeros(w0_shape[0]), np.zeros(5)])
+
+
 def test_blocked_sgd_equals_whole_array_formula():
     rng = np.random.default_rng(31)
-    size = 2 * ADAM_BLOCK + 9
-    grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
-    for lr in (0.01, rng.uniform(1e-4, 1e-1, size=size)):
-        params = MlpParams(weights=[rng.standard_normal((1, size - 1))], biases=[np.zeros(1)])
+    for w0_shape, per_column in itertools.product(W0_SHAPES, (False, True)):
+        params = two_layer_params(rng, w0_shape)
+        column_rates = rng.uniform(1e-4, 1e-1, size=w0_shape[1]) if per_column else None
+        size = params.flat.size
+        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
+        lr = 0.01 if column_rates is None else per_coordinate_rates(params, 0.01, column_rates)
         want = params.flat - lr * grad
-        SgdOptimizer(params, lr).step(grad)
+        SgdOptimizer(params, 0.01, column_rates).step(grad)
         assert params.flat.tobytes() == want.tobytes()
 
 
 def test_blocked_adam_with_per_coordinate_rates_equals_oracle():
+    """Per-column rates for layer 0's weights step as the oracle does with the
+    same rate repeated for every coordinate of the column."""
     rng = np.random.default_rng(32)
-    size = 2 * ADAM_BLOCK + 9
-    params = MlpParams(weights=[rng.standard_normal((1, size - 1))], biases=[np.zeros(1)])
-    lr = rng.uniform(1e-4, 1e-1, size=size)
-    opt = AdamOptimizer(params, learning_rate=lr)
-    want, ms, vs = [params.flat.copy()], [np.zeros(size)], [np.zeros(size)]
-    for t in range(1, 4):
-        grad = rng.standard_normal(size)
-        opt.step(grad)
-        adam_step_oracle(want, [grad], ms, vs, t, lr)
-        assert params.flat.tobytes() == want[0].tobytes()
+    for w0_shape in W0_SHAPES:
+        params = two_layer_params(rng, w0_shape)
+        size = params.flat.size
+        column_rates = rng.uniform(1e-4, 1e-1, size=w0_shape[1])
+        opt = AdamOptimizer(params, 0.01, column_rates)
+        lr = per_coordinate_rates(params, 0.01, column_rates)
+        want, ms, vs = [params.flat.copy()], [np.zeros(size)], [np.zeros(size)]
+        for t in range(1, 4):
+            grad = rng.standard_normal(size)
+            opt.step(grad)
+            adam_step_oracle(want, [grad], ms, vs, t, lr)
+            assert params.flat.tobytes() == want[0].tobytes()
+    with pytest.raises(ValueError, match="column rates"):
+        AdamOptimizer(params, 0.01, column_rates[:-1])
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -328,8 +356,8 @@ def test_optimizer_step_allocates_nothing_at_full_size(optimizer, rate):
     size = net._param_count(net.DEFAULT_LAYER_DIMS)
     params = MlpParams.from_flat(net.DEFAULT_LAYER_DIMS, np.zeros(size))
     grad = np.full(size, 1e-3)
-    lr = 1e-3 if rate == "scalar" else np.full(size, 1e-3)
-    opt = net.OPTIMIZERS[optimizer](params, lr)
+    column_rates = None if rate == "scalar" else np.full(net.DEFAULT_LAYER_DIMS[0], 1e-3)
+    opt = net.OPTIMIZERS[optimizer](params, 1e-3, column_rates)
     tracemalloc.start()
     try:
         opt.step(grad)
@@ -514,6 +542,65 @@ def test_training_without_repeated_columns_holds_no_more_than_the_unfolded_loop(
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 8 * net._param_count(dims)
+
+
+def test_training_with_repeated_columns_holds_one_full_width_vector():
+    """The folded training state (parameters, best epoch, two Adam moments and
+    the gradient) plus one full-width float64 vector: the init that is drawn,
+    folded and expanded again in place, and rounded in place into the model's
+    parameters, with no second full-width copy and no per-coordinate rates."""
+    import tracemalloc
+
+    dims = (2000, 512, 256, 128)
+    cache = planted_duplicates_cache(seed=29, n_distinct=200, dim=dims[0])
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=14)
+    folded = net._param_count((200,) + dims[1:])
+    tracemalloc.start()
+    try:
+        result = train(pairs, pairs, cache, cfg, layer_dims=dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.model.input_dim == dims[0]
+    assert peak < 8 * (5 * folded + net._param_count(dims))
+
+
+def test_init_params_draws_what_uniform_draws():
+    for seed, dims in ((0, net.DEFAULT_LAYER_DIMS), (3, (40, 16, 8)), (5, (1, 1))):
+        rng = np.random.default_rng([seed])
+        want = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            want += [rng.uniform(-limit, limit, size=(fan_out, fan_in)), np.zeros(fan_out)]
+        assert init_params(seed, dims).flat.tobytes() == np.concatenate(want, axis=None).tobytes()
+
+
+def test_model_keeps_a_float32_valued_vector_and_rounds_any_other():
+    params = init_params(8, (6, 5, 4))
+    kept = params.flat.copy()
+    model = SiameseModel(params=params, margin=1.0, feature_means=np.zeros(6),
+                         feature_stds=np.ones(6))
+    assert not np.shares_memory(model.params.flat, params.flat)
+    assert params.flat.tobytes() == kept.tobytes()
+    assert model.params.flat.tobytes() == kept.astype(np.float32).astype(np.float64).tobytes()
+    again = SiameseModel(params=model.params, margin=1.0, feature_means=np.zeros(6),
+                         feature_stds=np.ones(6))
+    assert again.params.flat is model.params.flat
+
+
+def test_model_bytes_are_made_in_pieces_and_hashed_as_made(tmp_path):
+    import hashlib
+
+    dims = (1400, 400, 4)  # params of several write blocks
+    assert net._param_count(dims) > 2 * net.binio.WRITE_BLOCK
+    model = SiameseModel(params=init_params(9, dims), margin=0.5,
+                         feature_means=np.full(1400, 0.5), feature_stds=np.full(1400, 2.0))
+    data = model.to_bytes()
+    model.save(tmp_path / "model.bin")
+    assert (tmp_path / "model.bin").read_bytes() == data
+    assert model.fingerprint() == hashlib.sha256(data).digest()
+    assert data.endswith(model.params.flat.astype("<f4").tobytes())
 
 
 def test_train_with_identical_features_leaves_params_at_init():
