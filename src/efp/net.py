@@ -421,12 +421,12 @@ def _quantize_f32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
-def _round_f32(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a``'s values, rounded to float32, into the float64 vector
-    ``out`` (which may be ``a``), a block at a time; returns ``out``."""
+def _round_f32(a: np.ndarray) -> np.ndarray:
+    """Round the float64 vector ``a`` to float32 values in place, a block at
+    a time; returns ``a``."""
     for block in _blocks(a.size):
-        out[block] = _quantize_f32(a[block])
-    return out
+        a[block] = _quantize_f32(a[block])
+    return a
 
 
 @dataclass
@@ -435,11 +435,12 @@ class SiameseModel:
 
     All arrays are quantized to float32-representable values on construction
     so that a model behaves identically before and after a save/load
-    round-trip. A float64 parameter vector whose values float32 already holds
-    is kept as it is, not copied; any other is rounded into a new one, a block
-    at a time. A model file stores, after the magic and version, the layer
-    count and widths (u32), the margin (f64), the means and stds and then
-    ``params.flat``, each as one float32 block.
+    round-trip. The model adopts the float64 parameter vector it is given and
+    rounds it in place (a float32 one is widened into a new vector first), so
+    a caller that needs its parameters unchanged passes a copy. A model file
+    stores, after the magic and version, the layer count and widths (u32),
+    the margin (f64), the means and stds and then ``params.flat``, each as one
+    float32 block.
     """
 
     params: MlpParams
@@ -448,10 +449,7 @@ class SiameseModel:
     feature_stds: np.ndarray
 
     def __post_init__(self):
-        flat = self.params.flat
-        if flat.dtype != np.float64 or not all(
-                np.array_equal(_quantize_f32(flat[b]), flat[b]) for b in _blocks(flat.size)):
-            flat = _round_f32(flat, np.empty(flat.shape))
+        flat = _round_f32(self.params.flat.astype(np.float64, copy=False))
         self.params = MlpParams.from_flat(self.params.layer_dims, flat)
         self.feature_means = _quantize_f32(self.feature_means)
         self.feature_stds = _quantize_f32(self.feature_stds)
@@ -494,6 +492,7 @@ class SiameseModel:
         binio.write_f32_array(f, self.params.flat)
 
     def to_bytes(self) -> bytes:
+        """The model file's bytes in memory, for comparing two models."""
         buf = io.BytesIO()
         self._write(buf)
         return buf.getvalue()
@@ -699,9 +698,8 @@ def train(
     alone = counts == 1
     w0[:, first[alone]] = w0g[:, alone]
     full.flat[w0.size :] = best_params.flat[w0g.size :]
-    # rounded in place, the vector becomes the model's without a copy
+    # the model rounds the vector in place and keeps it
     del best_params, w0g
-    _round_f32(full.flat, full.flat)
     model = SiameseModel(
         params=full,
         margin=loss_cfg.margin,

@@ -5,8 +5,6 @@ A ``PairSet`` holds pairs as index arrays: pair k is ``ids[a[k]]`` and
 of the clips in some pair and no others. The schemes order the pairs (i, j),
 i < j, of the sorted clip ids with the positives first, by class label and
 then in ``itertools.combinations`` order, then the negatives in (i, j) order.
-A negative is found from its rank in that order, so a scheme builds only the
-negatives it keeps.
 """
 
 from __future__ import annotations
@@ -98,39 +96,6 @@ def _all_negatives(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[cross], second[cross]
 
 
-def _negative_count(codes: np.ndarray) -> int:
-    sizes = np.bincount(codes)
-    return (codes.size * (codes.size - 1) - int(np.sum(sizes * (sizes - 1)))) // 2
-
-
-def _negatives(codes: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cross-class index pairs (i, j), i < j, of the given ascending ranks
-    in ``_all_negatives``' order, decoded without enumerating them."""
-    n = codes.size
-    sizes = np.bincount(codes)
-    class_start = np.cumsum(sizes) - sizes
-    # members: the clips class by class, ascending; place: i's place in its class
-    members = np.argsort(codes, kind="stable")
-    place = np.empty(n, dtype=np.intp)
-    place[members] = np.arange(n) - np.repeat(class_start, sizes)
-    # row i holds the j > i of other classes; q counts, from 0, the clips of
-    # other classes up to and including j: i - place[i] at or before i, and
-    # then the offset into the row
-    row_count = np.arange(n - 1, -1, -1) - (sizes[codes] - 1 - place)
-    row_end = np.cumsum(row_count)
-    i = np.searchsorted(row_end, ranks, side="right")
-    q = ranks - (row_end - row_count)[i]
-    q += i - place[i]
-    # the q-th clip outside class k is q plus the number of k's members m_p
-    # (p-th of the class) with m_p - p <= q; every class's m_p - p, offset by
-    # k * (n + 1), forms one ascending key
-    key = codes[members] * (n + 1) + members - place[members]
-    k = codes[i]
-    j = np.searchsorted(key, k * (n + 1) + q, side="right") - class_start[k]
-    j += q
-    return i, j
-
-
 _NO_PAIRS = (np.empty(0, dtype=np.intp),) * 2
 
 
@@ -157,18 +122,18 @@ def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
     """All positives plus an equal number of cross-class negatives.
 
     The negatives are a seeded uniform draw, without replacement, from the
-    unbalanced scheme's negatives, kept in their canonical order; only the
-    drawn ones are built.
+    unbalanced scheme's negatives, kept in their canonical order.
     """
     ids, codes = _classes(clips, "balanced")
     positives = _positives(codes)
-    n_pos, n_neg = positives[0].size, _negative_count(codes)
+    first, second = _all_negatives(codes)
+    n_pos, n_neg = positives[0].size, first.size
     if n_neg < n_pos:
         raise DataError(f"corpus has only {n_neg} distinct cross-class pairs but "
                         f"{n_pos} positives; cannot balance")
     rng = np.random.default_rng([cfg.seed])
     picks = np.sort(rng.choice(n_neg, size=n_pos, replace=False))
-    return _pair_set(ids, positives, _negatives(codes, picks))
+    return _pair_set(ids, positives, (first[picks], second[picks]))
 
 
 def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:

@@ -281,24 +281,6 @@ def negative_pairs_oracle(clips):
     return out
 
 
-def enumerated_balanced_oracle(clips, seed):
-    """The balanced pairs as (clip_a, clip_b, label), from every index pair
-    of the sorted clip ids: ``np.triu_indices`` stably sorted into each
-    class's positives in label order, then the negatives; the negatives kept
-    are the seeded draw's ranks among them, ascending."""
-    label_of = {rec.clip_id: rec.class_label for rec in clips}
-    ids = sorted(label_of)
-    classes, codes = np.unique([label_of[c] for c in ids], return_inverse=True)
-    first, second = np.triu_indices(len(ids), 1)
-    same = codes[first] == codes[second]
-    order = np.argsort(np.where(same, codes[first], classes.size), kind="stable")
-    first, second, n_pos = first[order], second[order], int(same.sum())
-    picks = np.random.default_rng([seed]).choice(first.size - n_pos, size=n_pos, replace=False)
-    keep = np.concatenate((np.arange(n_pos), n_pos + np.sort(picks)))
-    return [(ids[i], ids[j], int(k < n_pos))
-            for k, i, j in zip(range(keep.size), first[keep].tolist(), second[keep].tolist())]
-
-
 def capped_negatives_oracle(clips, cap, seed):
     """The negatives that a cap of ``cap`` per anchor keeps: the pairs of
     ``negative_pairs_oracle`` grouped by anchor (clip_a); in ascending anchor

@@ -413,15 +413,17 @@ def test_cache_faults_in_rows_a_stage_skips_exit_2(pipeline, tmp_path, capsys, s
 
 
 def test_import_leaves_scipy_out():
-    """Only reading and writing WAV files needs scipy, so the stages that do
-    neither do not pay for importing it."""
+    """Only reading WAV files needs scipy, so the stages that read none do not
+    pay for importing it."""
+    import os
     import subprocess
 
     code = "import sys, efp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unwritable_outputs_exit_2(pipeline, tmp_path, capsys):

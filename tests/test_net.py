@@ -576,17 +576,18 @@ def test_init_params_draws_what_uniform_draws():
         assert init_params(seed, dims).flat.tobytes() == np.concatenate(want, axis=None).tobytes()
 
 
-def test_model_keeps_a_float32_valued_vector_and_rounds_any_other():
+def test_model_rounds_the_vector_it_is_given_in_place():
     params = init_params(8, (6, 5, 4))
-    kept = params.flat.copy()
+    want = params.flat.astype(np.float32).astype(np.float64)
     model = SiameseModel(params=params, margin=1.0, feature_means=np.zeros(6),
                          feature_stds=np.ones(6))
-    assert not np.shares_memory(model.params.flat, params.flat)
-    assert params.flat.tobytes() == kept.tobytes()
-    assert model.params.flat.tobytes() == kept.astype(np.float32).astype(np.float64).tobytes()
-    again = SiameseModel(params=model.params, margin=1.0, feature_means=np.zeros(6),
-                         feature_stds=np.ones(6))
-    assert again.params.flat is model.params.flat
+    assert model.params.flat is params.flat
+    assert params.flat.tobytes() == want.tobytes()
+    narrow = MlpParams.from_flat((6, 5, 4), want.astype(np.float32))
+    widened = SiameseModel(params=narrow, margin=1.0, feature_means=np.zeros(6),
+                           feature_stds=np.ones(6))
+    assert widened.params.flat.dtype == np.float64
+    assert widened.params.flat.tobytes() == want.tobytes()
 
 
 def test_model_bytes_are_made_in_pieces_and_hashed_as_made(tmp_path):

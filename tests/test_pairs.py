@@ -5,7 +5,6 @@ import pytest
 
 from efp.corpus import ClipRecord
 from efp.errors import DataError
-from efp import pairs as pairs_mod
 from efp.pairs import (
     PairingConfig,
     PairSet,
@@ -20,7 +19,6 @@ from efp.pairs import (
 from conftest import pair_triples
 from oracles import (
     capped_negatives_oracle,
-    enumerated_balanced_oracle,
     negative_count_oracle,
     negative_pairs_oracle,
     positive_count_oracle,
@@ -298,8 +296,8 @@ def test_negatives_match_the_plain_loop_enumeration():
 
 
 def test_balanced_pairs_match_the_full_enumeration(tmp_path):
-    """Drawing ranks and decoding only them gives the pairs, and the pairs
-    CSV, that the enumeration of every pair gives: equal and unequal classes,
+    """The pairs, and the pairs CSV, are the positives and the plain loop's
+    negatives at the seeded draw's sorted ranks: equal and unequal classes,
     ids whose sorted order interleaves the classes, and many small classes."""
     rng = np.random.default_rng(40)
     interleaved = [ClipRecord(f"{i:03d}#0", "x.wav", 0, f"c{rng.integers(4)}") for i in range(60)]
@@ -309,39 +307,12 @@ def test_balanced_pairs_match_the_full_enumeration(tmp_path):
     for clips in corpora:
         for seed in (0, 5):
             got = balanced_pairs(clips, PairingConfig(scheme="balanced", seed=seed))
-            want = enumerated_balanced_oracle(clips, seed)
+            positives = pair_triples(positive_pairs(clips))
+            every = negative_pairs_oracle(clips)
+            picks = np.random.default_rng([seed]).choice(
+                len(every), size=len(positives), replace=False)
+            want = positives + [(*every[i], 0) for i in sorted(picks)]
             assert pair_triples(got) == want
             save_pairs(got, tmp_path / "pairs.csv")
             lines = (tmp_path / "pairs.csv").read_text().splitlines()
             assert lines[1:] == [f"{a},{b},{y}" for a, b, y in want]
-
-
-def test_negative_ranks_decode_to_the_enumerated_pairs():
-    rng = np.random.default_rng(41)
-    for n_classes, n in ((2, 9), (3, 40), (7, 50), (40, 60)):
-        codes = rng.integers(n_classes, size=n)
-        codes = np.unique(codes, return_inverse=True)[1]  # classes 0..k-1, all used
-        first, second = pairs_mod._all_negatives(codes)
-        assert first.size == pairs_mod._negative_count(codes)
-        i, j = pairs_mod._negatives(codes, np.arange(first.size))
-        assert np.array_equal(i, first) and np.array_equal(j, second)
-        ranks = np.sort(rng.choice(first.size, size=first.size // 3, replace=False))
-        i, j = pairs_mod._negatives(codes, ranks)
-        assert np.array_equal(i, first[ranks]) and np.array_equal(j, second[ranks])
-
-
-def test_balanced_builds_only_the_negatives_it_keeps():
-    import tracemalloc
-
-    clips = clips_for({f"c{k:02d}": 60 for k in range(10)})
-    tracemalloc.start()
-    try:
-        got = balanced_pairs(clips, PairingConfig(scheme="balanced", seed=2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n_pairs = 600 * 599 // 2
-    assert len(got) == 2 * 10 * math.comb(60, 2)
-    # the draw's own index over the 162,000 negatives is 8 bytes each; every
-    # pair as two index arrays was 16
-    assert peak < 12 * n_pairs
