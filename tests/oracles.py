@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way (plain Python
 loops, no shared code with the package) so that agreement is meaningful. The
 one exception is the last section: single-pair wrappers over ``efp.net`` (the
 pair distance and loss the gradient checks difference, and its loss and
-gradients), the finite-difference check of its analytic gradient, and the
-training loop over full-width parameters.
+gradients), the finite-difference check of its analytic gradient, the batch
+loss and gradient over every stacked row, and the training loop over
+full-width parameters.
 """
 
 import math
@@ -255,9 +256,9 @@ def twin_branch_oracle(weights, biases, X1, X2, y, margin):
 
 
 def adam_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam step (Kingma & Ba, arXiv 1412.6980) over parallel lists of
-    arrays, as whole-array expressions that make fresh temporaries; updates
-    targets, ms and vs in place."""
+    """One Adam step as Algorithm 1 of Kingma & Ba (arXiv 1412.6980) writes
+    it, over parallel lists of arrays, as whole-array expressions that make
+    fresh temporaries; updates targets, ms and vs in place."""
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     for target, g, m, v in zip(targets, grads, ms, vs):
@@ -266,6 +267,22 @@ def adam_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999, eps=
         v *= beta2
         v += (1.0 - beta2) * np.square(g)
         target -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def adam_reordered_step_oracle(targets, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999,
+                               eps=1e-8):
+    """``adam_step_oracle`` with the parameter update in the order of the end
+    of the paper's section 2, lr * (sqrt(c2) / c1) * m / (sqrt(v) + eps *
+    sqrt(c2)), equal to Algorithm 1's in exact arithmetic; the moments are
+    updated as there."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for target, g, m, v in zip(targets, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        target -= lr * (math.sqrt(c2) / c1) * m / (np.sqrt(v) + eps * math.sqrt(c2))
 
 
 def negative_pairs_oracle(clips):
@@ -406,20 +423,31 @@ def pair_loss_and_grads(params, x1, x2, y, loss_cfg, dropout_rate=0.0, rng=None)
 
 
 def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coords=None, seed=0):
-    """Max relative error of analytic vs central-difference gradients.
+    """Max relative error of analytic vs central-difference gradients of one
+    pair; ``batch_grad_check`` of a batch of that pair alone."""
+    return batch_grad_check(params, np.atleast_2d(x1), np.atleast_2d(x2), np.array([y]),
+                            loss_cfg, eps, max_coords, seed)
+
+
+def batch_grad_check(params, X1, X2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coords=None,
+                     seed=0):
+    """Max relative error of analytic vs central-difference gradients of the
+    mean loss of a batch of pairs.
 
     Dropout is disabled. With max_coords set, that many coordinates are
     sampled (seeded) instead of sweeping every parameter; intended for
     spot-checking the full-size network.
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    _, grads = pair_loss_and_grads(params, x1, x2, y, loss_cfg)
+    X1 = np.asarray(X1, dtype=np.float64)
+    X2 = np.asarray(X2, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _, grads = net.batch_loss_and_grads(params, X1, X2, y, loss_cfg)
 
     def loss_now():
-        e1 = embed_one(params, x1)
-        e2 = embed_one(params, x2)
-        return contrastive_loss(y, pair_distance(e1, e2), loss_cfg)
+        e1 = net.forward_eval(params, X1)
+        e2 = net.forward_eval(params, X2)
+        d = np.sqrt(np.sum(np.square(e1 - e2), axis=1))
+        return float(np.mean(net._contrastive(y, d, loss_cfg.margin)[0]))
 
     coords = range(params.flat.size)
     if max_coords is not None and len(coords) > max_coords:
@@ -439,6 +467,25 @@ def grad_check(params, x1, x2, y, loss_cfg=net.LossConfig(), eps=1e-5, max_coord
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         max_rel = max(max_rel, rel)
     return max_rel
+
+
+def stacked_twin_oracle(params, X1, X2, y, loss_cfg, dropout_rate, rng):
+    """Mean loss and gradient of a batch of pairs as ``net.batch_loss_and_grads``
+    computed them before it found the batch's distinct rows: one forward and
+    one backward pass over every row of [X1; X2]."""
+    n = len(X1)
+    e, cache = net.forward_train(params, np.concatenate((X1, X2)), dropout_rate, rng)
+    y = np.asarray(y, dtype=np.float64)
+    diff = e[:n] - e[n:]
+    d = np.sqrt(np.sum(np.square(diff), axis=1))
+    losses, hinge = net._contrastive(y, d, loss_cfg.margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_coef = np.where(d > 0.0, -hinge / d, 0.0)
+    coef = np.where(y == 1.0, 1.0, neg_coef) / len(d)
+    grad_e1 = coef[:, np.newaxis] * diff
+    grads = net.MlpParams.from_flat(params.layer_dims, np.zeros_like(params.flat))
+    net._backprop_into(params, cache, np.concatenate((grad_e1, -grad_e1)), grads)
+    return float(losses.mean()), grads
 
 
 def train_unfolded_oracle(train_pairs, val_pairs, cache, train_cfg, loss_cfg, layer_dims):

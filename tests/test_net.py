@@ -1,4 +1,6 @@
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from efp.net import (
 from efp.pairs import PairSet
 
 from oracles import (
+    adam_reordered_step_oracle,
     adam_step_oracle,
+    batch_grad_check,
     contrastive_loss,
     contrastive_oracle,
     embed_one,
@@ -34,6 +38,7 @@ from oracles import (
     pair_distance,
     pair_loss_and_grads,
     pair_loss_oracle,
+    stacked_twin_oracle,
     train_unfolded_oracle,
     twin_branch_oracle,
 )
@@ -291,7 +296,7 @@ def test_blocked_adam_equals_whole_array_oracle():
         gb = rng.standard_normal(b.shape)
         grad = np.concatenate((gw, gb), axis=None)
         opt.step(grad)
-        adam_step_oracle(want, [grad], ms, vs, t, 0.01)
+        adam_reordered_step_oracle(want, [grad], ms, vs, t, 0.01)
         assert np.array_equal(params.flat, want[0])
         assert np.array_equal(opt.m, ms[0])
         assert np.array_equal(opt.v, vs[0])
@@ -342,10 +347,34 @@ def test_blocked_adam_with_per_coordinate_rates_equals_oracle():
         for t in range(1, 4):
             grad = rng.standard_normal(size)
             opt.step(grad)
-            adam_step_oracle(want, [grad], ms, vs, t, lr)
+            adam_reordered_step_oracle(want, [grad], ms, vs, t, lr)
             assert params.flat.tobytes() == want[0].tobytes()
     with pytest.raises(ValueError, match="column rates"):
         AdamOptimizer(params, 0.01, column_rates[:-1])
+
+
+def test_adam_moments_are_algorithm_1s_and_the_step_agrees_to_rounding():
+    """The reordered step leaves m and v bit-equal to Algorithm 1's and moves
+    the parameters as it does up to rounding, for gradients from 1e-9, where
+    eps dominates the denominator, to 1e2: within 1e-12 of the largest move,
+    since a coordinate that moves back near its start cancels."""
+    rng = np.random.default_rng(35)
+    w0_shape = W0_SHAPES[0]
+    for column_rates in (None, rng.uniform(1e-4, 1e-1, size=w0_shape[1])):
+        params = two_layer_params(rng, w0_shape)
+        size = params.flat.size
+        opt = AdamOptimizer(params, 0.01, column_rates)
+        lr = 0.01 if column_rates is None else per_coordinate_rates(params, 0.01, column_rates)
+        start = params.flat.copy()
+        want, ms, vs = [params.flat.copy()], [np.zeros(size)], [np.zeros(size)]
+        for t in range(1, 8):
+            grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
+            opt.step(grad)
+            adam_step_oracle(want, [grad], ms, vs, t, lr)
+            assert opt.m.tobytes() == ms[0].tobytes()
+            assert opt.v.tobytes() == vs[0].tobytes()
+            moved = np.abs(want[0] - start).max()
+            assert 0.0 < np.abs(params.flat - want[0]).max() <= 1e-12 * moved
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -471,6 +500,24 @@ def test_train_smoke_learns_and_reproduces():
     again = train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))
     assert result.model.to_bytes() == again.model.to_bytes()
     assert result.history == again.history
+
+
+def test_train_logs_one_line_per_epoch(caplog):
+    cache = cluster_cache()
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=6)
+    with caplog.at_level(logging.INFO, logger="efp.net"):
+        result = train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+    assert len(lines) == cfg.epochs
+    for (epoch, train_loss, val_loss), line in zip(result.history, lines):
+        got = re.fullmatch(r"epoch (\d+): train loss (\S+), val loss (\S+), (\S+) s, (\S+) pairs/s",
+                           line)
+        assert got, line
+        assert int(got[1]) == epoch
+        assert float(got[2]) == pytest.approx(train_loss, rel=1e-5)
+        assert float(got[3]) == pytest.approx(val_loss, rel=1e-5)
+        assert float(got[4]) >= 0.0 and float(got[5]) > 0.0
 
 
 def planted_duplicates_cache(seed=26, n_per_class=6, n_distinct=12, dim=40):
@@ -767,6 +814,107 @@ def test_stacked_twin_equals_two_branch_oracle(dims):
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert np.abs(want).max() > 0.0
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def biased_params(seed, dims):
+    rng = np.random.default_rng(seed)
+    params = init_params(seed, dims)
+    for b in params.biases:
+        b += rng.uniform(-0.05, 0.05, size=b.shape)
+    return params
+
+
+def test_batch_with_repeated_clips_equals_two_branch_oracle():
+    """Clips repeated within one side and across the two sides go through
+    layer 0 once: the loss is the two-branch oracle's bit for bit, and the
+    gradients agree up to summation order."""
+    rng = np.random.default_rng(36)
+    dims = (40, 8, 6, 4)
+    params = biased_params(36, dims)
+    clips = rng.standard_normal((5, dims[0]))
+    a = np.array([0, 1, 0, 2, 3, 0, 4, 1])
+    b = np.array([1, 2, 3, 0, 0, 4, 4, 2])
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    X1, X2 = clips[a], clips[b]
+    distinct, rows = net._distinct_rows(X1, X2)
+    assert distinct.tobytes() == clips[[0, 1, 2, 3, 4]].tobytes()
+    assert rows.tolist() == a.tolist() + b.tolist()
+    loss, grads = batch_loss_and_grads(params, X1, X2, y, LossConfig(margin=1.5))
+    want_loss, want_w, want_b = twin_branch_oracle(
+        params.weights, params.biases, X1, X2, y, 1.5)
+    assert loss == want_loss
+    assert loss > 0.0
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert np.abs(want).max() > 0.0
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_repeated_rows_keep_their_masks_and_all_but_dw0_stay_bit_equal():
+    """With dropout, the distinct-row pass draws every row's mask as the pass
+    over all stacked rows does: the loss, the gradients of layers 1 and up and
+    every bias gradient are bit-equal to that pass's, and layer 0's weight
+    gradient agrees with it up to summation order."""
+    rng = np.random.default_rng(37)
+    dims = (60, 16, 8, 4)
+    params = biased_params(37, dims)
+    clips = rng.standard_normal((6, dims[0]))
+    a, b = rng.integers(0, 6, size=(2, 12))
+    y = (rng.random(12) < 0.5).astype(np.float64)
+    X1, X2 = clips[a], clips[b]
+    args = (params, X1, X2, y, LossConfig(margin=1.2), 0.3)
+    loss, grads = batch_loss_and_grads(*args, np.random.default_rng(4))
+    want_loss, want = stacked_twin_oracle(*args, np.random.default_rng(4))
+    assert len(net._distinct_rows(X1, X2)[0]) < 2 * len(a)
+    assert loss == want_loss
+    w0 = grads.weights[0].size
+    assert grads.flat[w0:].tobytes() == want.flat[w0:].tobytes()
+    assert np.abs(want.weights[0]).max() > 0.0
+    assert np.allclose(grads.weights[0], want.weights[0], rtol=0, atol=1e-12)
+
+
+def test_batch_without_repeats_computes_what_the_stacked_pass_computes():
+    rng = np.random.default_rng(38)
+    dims = (60, 16, 8, 4)
+    params = biased_params(38, dims)
+    X1, X2 = rng.standard_normal((2, 10, dims[0]))
+    y = (rng.random(10) < 0.5).astype(np.float64)
+    assert net._distinct_rows(X1, X2)[1] is None
+    args = (params, X1, X2, y, LossConfig(), 0.3)
+    loss, grads = batch_loss_and_grads(*args, np.random.default_rng(5))
+    want_loss, want = stacked_twin_oracle(*args, np.random.default_rng(5))
+    assert loss == want_loss
+    assert grads.flat.tobytes() == want.flat.tobytes()
+
+
+def test_rows_equal_on_the_key_but_not_after_stay_apart():
+    rng = np.random.default_rng(39)
+    dims = (20, 8, 6, 4)
+    params = biased_params(39, dims)
+    X1 = rng.standard_normal((3, dims[0]))
+    X2 = X1.copy()
+    X2[0, -1] += 1e-9              # the same key, a later value differs
+    X2[1, net._ROW_KEY] = 0.0      # the first value past the key differs
+    distinct, rows = net._distinct_rows(X1, X2)
+    assert rows.tolist() == [0, 1, 2, 3, 4, 2]
+    assert distinct.tobytes() == np.concatenate((X1, X2[:2])).tobytes()
+    y = np.array([1.0, 0.0, 0.0])
+    loss, grads = batch_loss_and_grads(params, X1, X2, y, LossConfig(margin=1.5))
+    want_loss, want_w, want_b = twin_branch_oracle(
+        params.weights, params.biases, X1, X2, y, 1.5)
+    assert loss == want_loss
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_grad_check_of_a_batch_whose_pairs_share_clips():
+    """Central differences in float64 agree with the gradient of a batch
+    whose pairs share two clips, each on both sides and in several pairs."""
+    params, x1, x2 = fd_checkable_pair(40, (7, 6, 5, 4), 0)
+    X1 = np.stack([x1, x2, x1, x1])
+    X2 = np.stack([x2, x1, x2, x1])
+    y = np.array([0.0, 1.0, 1.0, 1.0])
+    assert len(net._distinct_rows(X1, X2)[0]) == 2
+    assert batch_grad_check(params, X1, X2, y) < 1e-4
 
 
 def test_pair_loss_agrees_with_oracle():
