@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import wav
+from . import binio, wav
 from .errors import DataError
 from .features import DEFAULT_RATE_HZ
 
@@ -192,6 +192,48 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_clips(seed: int, k: int, first: int, paths: list[str], notes: np.ndarray,
+                 t: np.ndarray, rate_hz: int) -> None:
+    """Write clips ``first``, ``first + 1``, ... of class ``k`` to ``paths``;
+    one pool job.
+
+    The chord's sine argument without the phases is the same for every clip
+    of a class, so it is made once per job; each clip adds its phases into
+    one scratch buffer. That is the float arithmetic of
+    ``np.sqrt(2.0) * np.sin(2.0 * np.pi * notes[:, None] * t + phases[:, None])``,
+    in the same order, so every sample is the same bit for bit.
+    """
+    ramp = 2.0 * np.pi * notes[:, None] * t
+    buf = np.empty_like(ramp)
+    for i, path in enumerate(paths, first):
+        rng = np.random.default_rng([seed, k, i])
+        bed = rng.standard_normal(len(t))
+        bed /= _rms(bed)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=notes.shape)
+        np.add(ramp, phases[:, None], out=buf)
+        np.sin(buf, out=buf)
+        buf *= np.sqrt(2.0)
+        mix = bed + 0.35 * np.sum(buf, axis=0)
+        mix *= 0.05 * 10.0 ** (rng.uniform(-9.0, 9.0) / 20.0)
+        samples = np.clip(mix, -1.0, 1.0)
+        try:
+            # 16-bit PCM mono, the bytes scipy.io.wavfile.write gives
+            with binio.atomic_write(path) as f, wave.open(f, "wb") as out:
+                out.setnchannels(1)
+                out.setsampwidth(2)
+                out.setframerate(rate_hz)
+                out.writeframes((samples * 32767.0).round().astype("<i2").tobytes())
+        except OSError as exc:
+            raise DataError(f"{path}: cannot write WAV ({exc})") from exc
+
+
 def generate_synthetic(
     n_classes: int,
     clips_per_class: int,
@@ -208,54 +250,57 @@ def generate_synthetic(
     owns slots k, k+n, k+2n and so on. The chord's spectral footprint is
     deterministic while the bed and gain vary, which keeps the corpus
     separable but makes naive distance-in-feature-space comparisons noisy.
+
+    The clips are written by a pool of one thread per CPU this process may
+    run on, in runs of consecutive clips of one class. Each clip draws from
+    its own generator, seeded ``[seed, k, i]``, so the files do not depend on
+    the number of threads. Every thread has ended when this returns or
+    raises; after a failed clip the runs not yet started are dropped.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if clips_per_class < 6:
         raise ValueError(f"need at least 6 clips per class, got {clips_per_class}")
+    # imported here, so that the stages that make no corpus do not load
+    # concurrent.futures and threading
+    from concurrent.futures import ThreadPoolExecutor
+
     out_dir = os.fspath(out_dir)
     slots = np.geomspace(300.0, 3000.0, n_classes * CHORD_NOTES)
-    n = rate_hz * wav.CLIP_SECONDS
-    t = np.arange(n) / rate_hz
+    t = np.arange(rate_hz * wav.CLIP_SECONDS) / rate_hz
+    workers = _usable_cpus()
+    run = -(-clips_per_class // workers)  # each class in about one run per thread
     records: list[ClipRecord] = []
-    for k in range(n_classes):
-        label = f"class{k:02d}"
-        class_dir = os.path.join(out_dir, label)
-        try:
-            os.makedirs(class_dir, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"{class_dir}: cannot create output directory ({exc})") from exc
-        notes = slots[k::n_classes]
-        for i in range(clips_per_class):
-            rng = np.random.default_rng([seed, k, i])
-            bed = rng.standard_normal(n)
-            bed /= _rms(bed)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=notes.shape)
-            chord = np.sum(
-                np.sqrt(2.0) * np.sin(2.0 * np.pi * notes[:, None] * t + phases[:, None]),
-                axis=0,
-            )
-            mix = bed + 0.35 * chord
-            mix *= 0.05 * 10.0 ** (rng.uniform(-9.0, 9.0) / 20.0)
-            samples = np.clip(mix, -1.0, 1.0)
-            name = f"{label}_{i:03d}.wav"
-            path = os.path.join(class_dir, name)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        jobs = []
+        for k in range(n_classes):
+            label = f"class{k:02d}"
+            class_dir = os.path.join(out_dir, label)
             try:
-                # 16-bit PCM mono, the bytes scipy.io.wavfile.write gives
-                with wave.open(path, "wb") as out:
-                    out.setnchannels(1)
-                    out.setsampwidth(2)
-                    out.setframerate(rate_hz)
-                    out.writeframes((samples * 32767.0).round().astype("<i2").tobytes())
+                os.makedirs(class_dir, exist_ok=True)
             except OSError as exc:
-                raise DataError(f"{path}: cannot write WAV ({exc})") from exc
-            records.append(
-                ClipRecord(
-                    clip_id=f"{label}/{name}#0",
-                    source_path=path,
-                    segment_index=0,
-                    class_label=label,
+                raise DataError(f"{class_dir}: cannot create output directory ({exc})") from exc
+            paths = []
+            for i in range(clips_per_class):
+                name = f"{label}_{i:03d}.wav"
+                paths.append(os.path.join(class_dir, name))
+                records.append(
+                    ClipRecord(
+                        clip_id=f"{label}/{name}#0",
+                        source_path=paths[-1],
+                        segment_index=0,
+                        class_label=label,
+                    )
                 )
-            )
+            for first in range(0, clips_per_class, run):
+                jobs.append(pool.submit(
+                    _write_clips, seed, k, first, paths[first : first + run],
+                    slots[k::n_classes], t, rate_hz,
+                ))
+        for job in jobs:
+            job.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     records.sort(key=lambda r: (r.class_label, r.source_path, r.segment_index))
     return Manifest(records=tuple(records))

@@ -1,11 +1,15 @@
 import ast
+import concurrent.futures
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import logging
+import os
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -413,12 +417,13 @@ def test_cache_faults_in_rows_a_stage_skips_exit_2(pipeline, tmp_path, capsys, s
 
 
 def test_import_leaves_scipy_out():
-    """Only reading WAV files needs scipy, so the stages that read none do not
-    pay for importing it."""
+    """Only reading WAV files needs scipy, and only synth's pool needs
+    concurrent.futures, so the stages that use neither do not pay for
+    importing them."""
     import os
     import subprocess
 
-    code = "import sys, efp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = "import sys, efp.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
@@ -448,6 +453,65 @@ def test_unwritable_outputs_exit_2(pipeline, tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err, err
         assert str(out) in err and ".tmp" not in err, err
     assert not missing.exists()
+
+
+def test_synth_clip_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
+    """A WAV path that is a directory is a data error, not a traceback. No
+    temporary file is left, the runs not yet started are cancelled, and every
+    pool thread has ended when synth returns."""
+    shutdowns = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutdowns.append((args, kwargs))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    out = tmp_path / "corpus"
+    blocker = out / "class01" / "class01_003.wav"
+    blocker.mkdir(parents=True)
+    capsys.readouterr()
+    threads_before = threading.active_count()
+    rc = cli.main(["synth", "--classes", "3", "--per-class", "6", "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err, err
+    assert str(blocker) in err and ".tmp" not in err, err
+    assert shutdowns == [((), {"cancel_futures": True})]
+    assert threading.active_count() == threads_before
+    assert not list(out.rglob("*.tmp"))
+    assert blocker.is_dir() and not any(blocker.iterdir())
+    assert not (out / "manifest.csv").exists()
+
+
+def test_synth_runs_every_traced_function_in_the_calling_thread(tmp_path, monkeypatch):
+    """bench/tracing.py wraps the public efp functions and keeps one span
+    stack, which is not thread-safe; synth's pool threads must call none of
+    them."""
+    spec = importlib.util.spec_from_file_location(
+        "efp_bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    tracer = tracing.Tracer()
+    opened_in = []
+    open_span = tracer._open
+
+    def recording_open(name):
+        opened_in.append((name, threading.current_thread()))
+        return open_span(name)
+
+    tracer._open = recording_open
+    tracer.install()
+    try:
+        rc = cli.main(["synth", "--classes", "3", "--per-class", "6",
+                       "--out", str(tmp_path / "corpus")])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    assert "corpus.generate_synthetic" in {name for name, _ in opened_in}
+    assert {thread for _, thread in opened_in} == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("kind", ["cache", "index", "model"])

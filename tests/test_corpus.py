@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import logging
 import math
+import os
+import threading
+import wave
 
 import numpy as np
 import pytest
@@ -253,6 +257,72 @@ def test_generate_synthetic_bitwise_reproducible(tmp_path):
         h1 = hashlib.sha256(open(r1.source_path, "rb").read()).hexdigest()
         h2 = hashlib.sha256(open(r2.source_path, "rb").read()).hexdigest()
         assert h1 == h2
+
+
+# SHA-256 of generate_synthetic(3, 6, seed=4)'s WAV files, concatenated in
+# manifest order, as written by the one-clip-at-a-time writer this corpus
+# first came from
+SYNTH_3X6_SEED4_SHA256 = "6ed5735898fd6bd28bf0dca2486f9ac71a29dac2d3807a3daca31c574fbf4943"
+
+
+def corpus_sha256(m):
+    digest = hashlib.sha256()
+    for r in m.records:
+        with open(r.source_path, "rb") as f:
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
+def test_generate_synthetic_bytes_are_pinned(tmp_path):
+    """Every check of the pipeline runs on these corpora, so their bytes must
+    not change with the code that writes them."""
+    m = generate_synthetic(3, 6, seed=4, out_dir=tmp_path)
+    assert len(m) == 18
+    assert corpus_sha256(m) == SYNTH_3X6_SEED4_SHA256
+
+
+@pytest.mark.parametrize("source, cpus", [
+    ("affinity", 1), ("affinity", 3), ("cpu_count", 3)])
+def test_generate_synthetic_bytes_do_not_depend_on_the_cpu_count(
+        tmp_path, monkeypatch, source, cpus):
+    pools = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    if source == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    threads_before = threading.active_count()
+    m = generate_synthetic(3, 6, seed=4, out_dir=tmp_path)
+    assert pools == [cpus]
+    assert threading.active_count() == threads_before
+    assert corpus_sha256(m) == SYNTH_3X6_SEED4_SHA256
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_generate_synthetic_failed_write_leaves_no_partial_wav(tmp_path, monkeypatch):
+    real_writeframes = wave.Wave_write.writeframes
+
+    def failing_writeframes(self, data):
+        if os.path.basename(self._file.name).startswith("class01_003.wav"):
+            real_writeframes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+        real_writeframes(self, data)
+
+    monkeypatch.setattr(wave.Wave_write, "writeframes", failing_writeframes)
+    threads_before = threading.active_count()
+    with pytest.raises(DataError, match="class01_003.wav: cannot write WAV.*disk full"):
+        generate_synthetic(3, 6, seed=4, out_dir=tmp_path)
+    assert threading.active_count() == threads_before
+    assert not (tmp_path / "class01" / "class01_003.wav").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_generate_synthetic_chord_marks_each_class(tmp_path):
