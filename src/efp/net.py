@@ -28,13 +28,17 @@ a square root: it equals the plain formula in exact arithmetic and differs
 from it by rounding. The learning rate is a scalar, and layer 0's weights may
 instead take one rate per input column.
 
+Layer 0 is folded twice, over the rows of a batch and over the input
+columns, and one rule, ``_groups``, finds the repeats for both: a row or
+column is keyed on its first few values, and it joins the first one with its
+key when the two are equal as a whole.
+
 A batch of pairs repeats clips: one clip is in several of its pairs, on
-either side. The batch finds its distinct rows (keyed on a few leading
-values, merged only when the whole rows are equal), and layer 0 multiplies
-each of them once, in the forward pass and in its weight gradient, where the
-deltas of equal rows are summed first. The loss, the gradients of the other
-layers and every bias gradient are bit-identical to those of the full batch;
-layer 0's weight gradient differs from it only in the order of its sums.
+either side. Layer 0 multiplies each distinct row of the batch once, in the
+forward pass and in its weight gradient, where the deltas of equal rows are
+summed first. The loss, the gradients of the other layers and every bias
+gradient are bit-identical to those of the full batch; layer 0's weight
+gradient differs from it only in the order of its sums.
 
 The feature pooling copies filled bands and time bins into empty ones, so
 most input columns repeat another (3,363 distinct of 13,509 on the
@@ -84,8 +88,9 @@ _F32_MAX = float(np.finfo(np.float32).max)
 # took within 4% of the same time with blocks of 16K, 32K and 64K values.
 ADAM_BLOCK = 32768
 
-# A batch row's first values, as bytes, key it among the batch's rows; rows
-# that share a key are merged only when they are equal as a whole
+# A row's or a column's first values, as bytes, key it among its matrix's
+# rows or columns (``_groups``); slices that share a key are merged only when
+# they are equal as a whole
 _ROW_KEY = 8
 
 
@@ -345,39 +350,38 @@ def batch_loss_and_grads(
 
 
 def _distinct_rows(X1: np.ndarray, X2: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The distinct rows of [X1; X2] in the order they first appear, and each
-    of the 2n rows' index among them; with no repeated row, [X1; X2] itself
-    and None. A row's first ``_ROW_KEY`` values key it, and two rows with the
-    same key are merged only when ``np.array_equal`` holds for the whole rows."""
-    X1 = np.asarray(X1, dtype=np.float64)
-    X2 = np.asarray(X2, dtype=np.float64)
-    n = len(X1)
-    lead = np.concatenate((X1[:, :_ROW_KEY], X2[:, :_ROW_KEY]))
-    keys, width = lead.tobytes(), lead.itemsize * lead.shape[1]
-    first: list[int] = []               # the batch row each distinct row is first seen at
-    by_key: dict[bytes, list[int]] = {}  # the distinct rows with each key
-    rows = np.empty(2 * n, dtype=np.intp)
-    for i in range(2 * n):
-        row = X1[i] if i < n else X2[i - n]
-        same_key = by_key.setdefault(keys[i * width : (i + 1) * width], [])
-        for g in same_key:
-            j = first[g]
-            if np.array_equal(X1[j] if j < n else X2[j - n], row):
-                rows[i] = g
-                break
-        else:
-            rows[i] = len(first)
-            same_key.append(len(first))
-            first.append(i)
-    if len(first) == 2 * n:
-        return np.concatenate((X1, X2)), None
-    first = np.array(first)
-    k = np.searchsorted(first, n)
-    distinct = np.empty((first.size, X1.shape[1]))
-    # "clip" writes into the out slices directly; every index is in range
-    np.take(X1, first[:k], axis=0, out=distinct[:k], mode="clip")
-    np.take(X2, first[k:] - n, axis=0, out=distinct[k:], mode="clip")
-    return distinct, rows
+    """The distinct rows of [X1; X2] in the order they first appear
+    (``_groups``), and each of the 2n rows' index among them; with no
+    repeated row, [X1; X2] itself and None."""
+    X = np.concatenate((X1, X2), dtype=np.float64)
+    first, rows, _ = _groups(X, 0)
+    if first.size == len(X):
+        return X, None
+    return X[first], rows
+
+
+def _groups(A: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal rows (``axis`` 0) or columns (``axis`` 1) of the 2-D
+    ``A``. Returns each group's first slice, each slice's group and each
+    group's size, with the groups numbered in the order of their first
+    slices, so an ``A`` with no repeated slice has ``first`` = ``group`` =
+    0, 1, 2, ...
+
+    A slice's first ``_ROW_KEY`` values, as bytes, key it, and it joins the
+    first slice with its key only when the two are equal as a whole. So when
+    one key holds slices of two or more contents, a slice equal to a later
+    one but not to the first stays apart from it: the grouping folds less
+    but stays exact, since every group holds equal slices."""
+    lead = np.ascontiguousarray(np.moveaxis(A, axis, 0)[:, :_ROW_KEY])
+    keys = lead.view(np.dtype((np.void, lead.itemsize * lead.shape[1]))).ravel()
+    _, key_first, key_of = np.unique(keys, return_index=True, return_inverse=True)
+    # each slice's group is first known by its lowest slice: the first with
+    # its key, or the slice itself where it differs from that one
+    rep = key_first[key_of]
+    later = np.flatnonzero(rep != np.arange(rep.size))
+    equal = (A.take(later, axis) == A.take(rep[later], axis)).all(axis=1 - axis)
+    rep[later[~equal]] = later[~equal]
+    return np.unique(rep, return_inverse=True, return_counts=True)
 
 
 def _blocks(size: int):
@@ -633,19 +637,6 @@ def _feature_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _quantize_f32(means), _quantize_f32(stds)
 
 
-def _column_groups(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the equal columns of ``Z``. Returns each group's first column,
-    each column's group and each group's size n_c, with the groups numbered
-    in the order of their first columns, so a matrix with no repeated column
-    has ``first`` = ``group`` = 0, 1, 2, ..."""
-    _, first, group, counts = np.unique(Z, axis=1, return_index=True,
-                                        return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(order.size)
-    return first[order], renumber[group.reshape(-1)], counts[order]
-
-
 def _group_sums(w: np.ndarray, group: np.ndarray, counts: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """Write into column c of ``out`` the sum of ``w``'s columns in group c;
@@ -686,16 +677,18 @@ def train(
     all, then of ``val_pairs.ids``; the arrays ``a`` and ``b`` index them as is.
 
     Layer 0 trains on the distinct input columns. After standardizing, the
-    equal columns of the train and val rows form groups (``_column_groups``);
-    the rows keep one column per group, and the network that reads them holds
-    one layer-0 weight column per group, the sum of the init columns in it.
+    equal columns of the train and val rows form groups (``_groups``, the rule
+    that also finds a batch's distinct rows); the rows keep one column per
+    group, and the network that reads them holds one layer-0 weight column
+    per group, the sum of the init columns in it.
     The columns of a group get bit-equal gradients, and SGD and Adam update
     each coordinate on its own, so they would move in lockstep for the whole
     run: each group's weights step with the learning rate times its size n_c,
     which moves the sum as its n_c columns would move. At the end each
     column of a group of n_c > 1 is its init value plus 1/n_c of its group's
     move, and a column alone in its group is its group's column, so a matrix
-    with no repeated column trains as a full-width network does, bit for bit.
+    with no repeated column, whose column rates all equal the learning rate,
+    trains as a full-width network does, bit for bit.
     """
     if not train_pairs or not val_pairs:
         raise DataError("need non-empty train and validation pair lists")
@@ -708,7 +701,7 @@ def train(
     means, stds = _feature_stats(Z[:n_rows])
     Z -= means
     Z /= stds
-    first, group, counts = _column_groups(Z)
+    first, group, counts = _groups(Z, 1)
     logger.info("layer 0 trains on %d distinct input columns of %d", counts.size, group.size)
     # one column per group; take keeps the rows C-contiguous for the gathers
     Z = Z.take(first, axis=1)
@@ -717,11 +710,9 @@ def train(
     va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
     params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
-    # layer 0's weights in group c step at the learning rate times n_c; with
-    # no repeated column that is the learning rate, which the scalar path
-    # steps faster
-    column_rates = None if counts.max() == 1 else train_cfg.learning_rate * counts
-    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate, column_rates)
+    # layer 0's weights in group c step at the learning rate times n_c
+    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate,
+                                                train_cfg.learning_rate * counts)
     grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []

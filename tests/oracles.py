@@ -385,6 +385,19 @@ def log_quantize_oracle(spec, freq_bins, time_bins, amplitude_floor):
     return pooled, np.log(pooled + amplitude_floor).reshape(-1)
 
 
+def groups_oracle(A, axis):
+    """Each group's first slice, each slice's group and each group's size for
+    the equal rows (``axis`` 0) or columns (``axis`` 1) of ``A``, with the
+    groups numbered in the order of their first slices: ``np.unique`` over the
+    whole slices, renumbered."""
+    _, first, group, counts = np.unique(A, axis=axis, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    return first[order], renumber[group.reshape(-1)], counts[order]
+
+
 # --- Helpers that drive efp.net itself ---------------------------------------
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import threading
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,8 +255,8 @@ def test_generate_synthetic_bitwise_reproducible(tmp_path):
     m2 = generate_synthetic(2, 6, seed=4, out_dir=tmp_path / "two")
     for r1, r2 in zip(m1.records, m2.records):
         assert r1.clip_id == r2.clip_id
-        h1 = hashlib.sha256(open(r1.source_path, "rb").read()).hexdigest()
-        h2 = hashlib.sha256(open(r2.source_path, "rb").read()).hexdigest()
+        h1 = hashlib.sha256(Path(r1.source_path).read_bytes()).hexdigest()
+        h2 = hashlib.sha256(Path(r2.source_path).read_bytes()).hexdigest()
         assert h1 == h2
 
 

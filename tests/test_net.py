@@ -34,6 +34,7 @@ from oracles import (
     embed_one,
     fd_gradients_oracle,
     grad_check,
+    groups_oracle,
     mlp_forward_oracle,
     pair_distance,
     pair_loss_and_grads,
@@ -418,17 +419,64 @@ def test_model_load_widens_the_parameters_once(tmp_path):
     assert loaded.to_bytes() == model.to_bytes()
 
 
-def test_column_groups_are_numbered_by_first_column():
-    Z = np.array([[1.0, 2.0, 1.0, 3.0, 2.0, 1.0],
-                  [0.0, 5.0, 0.0, 1.0, 5.0, 0.0]])
-    first, group, counts = net._column_groups(Z)
+@pytest.mark.parametrize("axis", [0, 1], ids=["rows", "columns"])
+def test_groups_are_numbered_by_first_slice(axis):
+    def slices(A):
+        return A.T if axis == 0 else A
+
+    Z = slices(np.array([[1.0, 2.0, 1.0, 3.0, 2.0, 1.0],
+                         [0.0, 5.0, 0.0, 1.0, 5.0, 0.0]]))
+    first, group, counts = net._groups(Z, axis)
     assert first.tolist() == [0, 1, 3]
     assert group.tolist() == [0, 1, 0, 2, 1, 0]
     assert counts.tolist() == [3, 2, 1]
-    distinct = np.random.default_rng(33).standard_normal((4, 7))
-    first, group, counts = net._column_groups(distinct)
+    distinct = slices(np.random.default_rng(33).standard_normal((4, 7)))
+    first, group, counts = net._groups(distinct, axis)
     assert first.tolist() == group.tolist() == list(range(7))
     assert counts.tolist() == [1] * 7
+    A = slices(np.random.default_rng(34).standard_normal((12, 5))[:, [3, 1, 3, 0, 1, 4, 3]])
+    got = net._groups(A, axis)
+    for g, want in zip(got, groups_oracle(A, axis), strict=True):
+        assert g.tolist() == want.tolist()
+
+
+def test_columns_equal_on_the_key_but_not_after_stay_apart():
+    """Columns 1 and 3 share column 0's key and differ from it after the key,
+    column 5 differs from column 4 in its last value: each group still holds
+    equal columns only."""
+    x, w = np.random.default_rng(35).standard_normal((2, net._ROW_KEY + 3))
+    y = x.copy()
+    y[net._ROW_KEY] += 1e-9
+    w_last = w.copy()
+    w_last[-1] = -w_last[-1]
+    Z = np.stack([x, y, x, y, w, w_last], axis=1)
+    first, group, counts = net._groups(Z, 1)
+    assert group[0] == group[2] != group[1]
+    assert group[0] != group[3]
+    assert group[4] != group[5]
+    assert np.array_equal(Z[:, first][:, group], Z)
+    assert counts.sum() == Z.shape[1]
+
+
+def test_column_groups_hold_under_twice_the_matrix():
+    """Grouping the columns of the acceptance corpus's standardized train and
+    val rows (160 x 13,509, most columns repeated) allocates less than twice
+    the matrix: a sort over whole columns would add a transposed and a sorted
+    copy of it."""
+    import tracemalloc
+
+    rng = np.random.default_rng(36)
+    distinct = rng.standard_normal((160, 3363))
+    Z = np.ascontiguousarray(distinct[:, np.sort(rng.integers(0, 3363, size=13509))])
+    tracemalloc.start()
+    try:
+        first, group, counts = net._groups(Z, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Z[:, first][:, group], Z)
+    assert counts.sum() == Z.shape[1]
+    assert peak < 2 * Z.nbytes
 
 
 def test_params_from_foreign_arrays_are_views_of_their_own_flat():
@@ -543,7 +591,7 @@ def test_folded_training_matches_the_unfolded_oracle(monkeypatch, optimizer, lr)
     cfg = TrainConfig(epochs=6, batch_size=16, learning_rate=lr, optimizer=optimizer,
                       dropout=0.0, seed=11)
     dims = (40, 8, 6, 4)
-    _, _, counts = net._column_groups(cache.matrix.astype(np.float64))
+    _, _, counts = net._groups(cache.matrix.astype(np.float64), 1)
     assert counts.size == 12 and counts.max() > 1
     got = train(pairs, pairs, cache, cfg, LossConfig(), dims)
     want, history = train_unfolded_oracle(pairs, pairs, cache, cfg, LossConfig(), dims)
