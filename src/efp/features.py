@@ -37,15 +37,12 @@ class StftConfig:
     fft_size: int = 1024
     window_ms: int = 64
     hop_ms: int = 32
-    window_fn: str = "hann"
 
     def __post_init__(self):
         if self.fft_size <= 0 or self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0 < self.hop_ms <= self.window_ms:
             raise ValueError("need 0 < hop_ms <= window_ms")
-        if self.window_fn not in ("hann", "rectangular"):
-            raise ValueError(f"unknown window_fn {self.window_fn!r}")
 
     def win_samples(self, rate_hz: int) -> int:
         return rate_hz * self.window_ms // 1000
@@ -81,8 +78,8 @@ class LogSpecFeature:
 def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Complex spectrogram of shape (n_frames, fft_size//2 + 1).
 
-    Frame count is floor((len - win) / hop) + 1; only non-negative
-    frequencies are kept.
+    Each frame is multiplied by a Hann window. Frame count is
+    floor((len - win) / hop) + 1; only non-negative frequencies are kept.
     """
     win = cfg.win_samples(clip.sample_rate_hz)
     hop = cfg.hop_samples(clip.sample_rate_hz)
@@ -96,8 +93,7 @@ def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if len(samples) < win:
         raise DataError(f"clip {clip.clip_id!r} is shorter than one analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
-    window = np.hanning(win) if cfg.window_fn == "hann" else np.ones(win)
-    return np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
+    return np.fft.rfft(frames * np.hanning(win), n=cfg.fft_size, axis=1)
 
 
 def _log_bin_assignments(n_positions: int, n_out: int) -> np.ndarray:

@@ -15,18 +15,18 @@ therefore quantized) at float32.
 The parameters are one float64 vector, ``MlpParams.flat``, laid out w0, b0,
 w1, b1, ... as a model file stores them; each layer's weight and bias are
 views of it. So the gradient is a second ``MlpParams`` that the backward pass
-writes into, the optimizers' ``step(grad)`` takes one flat gradient, and
+writes into, the optimizer's ``step(grad)`` takes one flat gradient, and
 copying, range-checking, quantizing, saving and loading the parameters are
 each one operation on one array. The training step allocates no
 parameter-sized array: ``train`` reuses one gradient for every batch, and
-both optimizers update the vector in place, ``ADAM_BLOCK`` values at a time.
-SGD and Adam's two moments are computed by the same operations in the same
-order as the plain formulas with fresh temporaries, so they are bit-identical
-to them. Adam's parameter step takes Kingma & Ba's reordering (arXiv
-1412.6980, section 2), with one division per coordinate instead of three and
-a square root: it equals the plain formula in exact arithmetic and differs
-from it by rounding. The learning rate is a scalar, and layer 0's weights may
-instead take one rate per input column.
+Adam updates the vector in place, a block at a time. Its two moments are
+computed by the same operations in the same order as the plain formulas with
+fresh temporaries, so they are bit-identical to them. Its parameter step
+takes Kingma & Ba's reordering (arXiv 1412.6980, section 2), with one
+division per coordinate instead of three and a square root: it equals the
+plain formula in exact arithmetic and differs from it by rounding. Layer 0's
+weights step at one rate per input column, the other parameters at the
+learning rate.
 
 Layer 0 is folded twice, over the rows of a batch and over the input
 columns, and one rule, ``_groups``, finds the repeats for both: a row or
@@ -81,8 +81,8 @@ MODEL_VERSION = 2
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
-# The optimizers walk each array in blocks of this many float64 values (256 KB),
-# so the block slices one Adam update touches (parameter, gradient, two
+# Adam walks each array in blocks of about this many float64 values (256 KB),
+# so the block slices one update touches (parameter, gradient, two
 # moments, two scratch) stay in L2 cache between its passes. On a Xeon with
 # 4 MiB of L2 per core, an Adam step at the acceptance corpus's folded width
 # took within 4% of the same time with blocks of 16K, 32K and 64K values.
@@ -172,7 +172,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     dropout: float = 0.3
     seed: int = 0
 
@@ -185,8 +184,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def init_params(seed: int, layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS) -> MlpParams:
@@ -384,9 +381,9 @@ def _groups(A: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.unique(rep, return_inverse=True, return_counts=True)
 
 
-def _blocks(size: int):
-    """Slices that walk ``size`` values ``ADAM_BLOCK`` at a time."""
-    return (slice(start, start + ADAM_BLOCK) for start in range(0, size, ADAM_BLOCK))
+def _blocks(start: int, stop: int):
+    """Slices that walk the values from ``start`` to ``stop`` ``ADAM_BLOCK`` at a time."""
+    return (slice(i, min(i + ADAM_BLOCK, stop)) for i in range(start, stop, ADAM_BLOCK))
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -396,56 +393,12 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
-def _rate_blocks(params: MlpParams, learning_rate: float | np.ndarray,
-                 column_rates: np.ndarray | None) -> list[tuple[slice, tuple, object]]:
-    """(slice of ``params.flat``, shape, learning rate) of each block an
-    optimizer walks. With ``column_rates``, one per input column, layer 0's
-    weights come first, in blocks of whole rows shaped (rows, in_dim) that the
-    column rates broadcast over; the rest of the vector, or all of it, goes
-    ``ADAM_BLOCK`` values at a time at the scalar ``learning_rate`` (a float,
-    or a 0-d array that Adam rescales in place each step)."""
-    out, start = [], 0
-    if column_rates is not None:
-        out_dim, in_dim = params.weights[0].shape
-        if np.shape(column_rates) != (in_dim,):
-            raise ValueError(f"column rates of shape {np.shape(column_rates)} for "
-                             f"{in_dim} input columns")
-        for rows in _row_blocks(out_dim, in_dim):
-            out.append((slice(rows.start * in_dim, rows.stop * in_dim),
-                        (rows.stop - rows.start, in_dim), column_rates))
-        start = out_dim * in_dim
-    size = params.flat.size
-    for start in range(start, size, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, size)
-        out.append((slice(start, stop), (stop - start,), learning_rate))
-    return out
-
-
-class SgdOptimizer:
-    """p -= lr * grad, with ``lr`` the scalar learning rate or, with
-    ``column_rates``, each layer-0 weight's input column's rate."""
-
-    def __init__(self, params: MlpParams, learning_rate: float,
-                 column_rates: np.ndarray | None = None):
-        self.params = params
-        self._blocks = _rate_blocks(params, learning_rate, column_rates)
-        self._scratch = np.empty(max(b.stop - b.start for b, _, _ in self._blocks))
-
-    def step(self, grad: np.ndarray) -> None:
-        """Update the parameters in place from a gradient shaped like ``flat``."""
-        p = self.params.flat
-        for block, shape, lr in self._blocks:
-            pb = p[block].reshape(shape)
-            s = self._scratch[: pb.size].reshape(shape)
-            np.multiply(lr, grad[block].reshape(shape), out=s)
-            pb -= s
-
-
 class AdamOptimizer:
     """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments ``m``
-    and ``v``, each one vector shaped like ``params.flat``. The learning rate
-    is a scalar; with ``column_rates``, each layer-0 weight steps at its input
-    column's rate instead.
+    and ``v``, each one vector shaped like ``params.flat``. Each layer-0
+    weight steps at its input column's rate, ``column_rates`` (by default the
+    learning rate for every column), and every other parameter at the
+    learning rate.
 
     The step is the paper's reordering (end of section 2),
     ``p -= lr * (sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``, which in
@@ -471,11 +424,21 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
-        # this step's scaled rates, which the blocks read, and the given ones
-        scaled = np.empty(()), None if column_rates is None else np.empty(np.shape(column_rates))
-        self._rates = [(given, out) for given, out in zip((learning_rate, column_rates), scaled)
-                       if given is not None]
-        self._blocks = _rate_blocks(params, *scaled)
+        out_dim, in_dim = params.weights[0].shape
+        if column_rates is None:
+            column_rates = np.full(in_dim, learning_rate)
+        elif np.shape(column_rates) != (in_dim,):
+            raise ValueError(f"column rates of shape {np.shape(column_rates)} for "
+                             f"{in_dim} input columns")
+        # the given rates, and this step's scaled ones, which the blocks read
+        scaled_rate, scaled_columns = np.empty(()), np.empty(in_dim)
+        self._rates = [(learning_rate, scaled_rate), (column_rates, scaled_columns)]
+        # (slice of flat, shape, rate) of each block: layer 0's weights in whole
+        # rows, which the column rates broadcast over, then the rest of the vector
+        self._blocks = [(slice(rows.start * in_dim, rows.stop * in_dim), (-1, in_dim),
+                         scaled_columns) for rows in _row_blocks(out_dim, in_dim)]
+        self._blocks += [(block, (-1,), scaled_rate)
+                         for block in _blocks(out_dim * in_dim, params.flat.size)]
         self._scratch = np.empty((2, max(b.stop - b.start for b, _, _ in self._blocks)))
 
     def step(self, grad: np.ndarray) -> None:
@@ -506,9 +469,6 @@ class AdamOptimizer:
         p -= s1
 
 
-OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
-
-
 def _quantize_f32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
@@ -516,7 +476,7 @@ def _quantize_f32(a: np.ndarray) -> np.ndarray:
 def _round_f32(a: np.ndarray) -> np.ndarray:
     """Round the float64 vector ``a`` to float32 values in place, a block at
     a time; returns ``a``."""
-    for block in _blocks(a.size):
+    for block in _blocks(0, a.size):
         a[block] = _quantize_f32(a[block])
     return a
 
@@ -681,9 +641,9 @@ def train(
     that also finds a batch's distinct rows); the rows keep one column per
     group, and the network that reads them holds one layer-0 weight column
     per group, the sum of the init columns in it.
-    The columns of a group get bit-equal gradients, and SGD and Adam update
-    each coordinate on its own, so they would move in lockstep for the whole
-    run: each group's weights step with the learning rate times its size n_c,
+    The columns of a group get bit-equal gradients, and Adam updates each
+    coordinate on its own, so they would move in lockstep for the whole run:
+    each group's weights step with the learning rate times its size n_c,
     which moves the sum as its n_c columns would move. At the end each
     column of a group of n_c > 1 is its init value plus 1/n_c of its group's
     move, and a column alone in its group is its group's column, so a matrix
@@ -711,8 +671,7 @@ def train(
 
     params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
     # layer 0's weights in group c step at the learning rate times n_c
-    optimizer = OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate,
-                                                train_cfg.learning_rate * counts)
+    optimizer = AdamOptimizer(params, train_cfg.learning_rate, train_cfg.learning_rate * counts)
     grads = None  # the first batch allocates the gradient, the others reuse it
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []

@@ -19,6 +19,11 @@ logger = logging.getLogger(__name__)
 
 CLIP_SECONDS = 2
 
+# A header's rate is outside input, and resampling makes len * target / rate
+# samples: 640 million from a 1 Hz header over 40,000 at 16 kHz. Audio is
+# sampled at 8 kHz or more, so a rate below this floor is a malformed header.
+MIN_RATE_HZ = 1000
+
 
 @dataclass(frozen=True)
 class PcmClip:
@@ -69,8 +74,8 @@ def read_wav_mono(path: str | os.PathLike, target_rate_hz: int) -> np.ndarray:
     """Read a WAV file as mono float64 at target_rate_hz.
 
     Stereo (or more channels) is averaged to mono before resampling.
-    Raises DataError for unreadable files, non-WAV containers, unsupported
-    sample formats, and zero-length audio.
+    Raises DataError for unreadable files, malformed or non-WAV headers, rates
+    below ``MIN_RATE_HZ``, unsupported sample formats and zero-length audio.
     """
     # imported here, so that the stages that never read a WAV do not pay for
     # importing scipy
@@ -80,8 +85,12 @@ def read_wav_mono(path: str | os.PathLike, target_rate_hz: int) -> np.ndarray:
         src_rate, data = wavfile.read(os.fspath(path))
     except FileNotFoundError as exc:
         raise DataError(f"{path}: file not found") from exc
-    except (ValueError, OSError) as exc:
-        raise DataError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    except Exception as exc:
+        # the parser reads outside input, and a malformed header can make it
+        # raise anything from ValueError to ZeroDivisionError or struct.error
+        raise DataError(f"{path}: not a readable PCM WAV file ({exc!r})") from exc
+    if src_rate < MIN_RATE_HZ:
+        raise DataError(f"{path}: sample rate {src_rate} Hz is below {MIN_RATE_HZ} Hz")
     if data.size == 0:
         raise DataError(f"{path}: zero-length audio")
     samples = _to_float(data)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -18,6 +20,30 @@ def write_wav(path, samples, rate=16000, dtype=np.int16):
     else:
         samples = samples.astype(dtype)
     wavfile.write(path, rate, samples)
+    return path
+
+
+# (offset, struct format, value) of the header fields each case overwrites,
+# at their offsets in the 44-byte header scipy writes for 16-bit PCM:
+# channels 22, sample rate 24, bytes per second 28, block align 32, data
+# chunk id 36
+MALFORMED_HEADERS = {
+    "no-data-chunk": [(36, "4s", b"xxxx")],
+    "zero-channels": [(22, "<H", 0), (28, "<I", 0), (32, "<H", 0)],
+    "zero-rate": [(24, "<I", 0), (28, "<I", 0)],
+    # consistent, but resampling 40,000 samples from 1 Hz asks for 640 million
+    "one-hertz": [(24, "<I", 1), (28, "<I", 2)],
+}
+
+
+def write_malformed_wav(path, case):
+    """40,000 16-bit samples at 16 kHz under one of ``MALFORMED_HEADERS``."""
+    write_wav(path, np.full(40000, 0.25))
+    raw = bytearray(path.read_bytes())
+    assert raw[36:40] == b"data"
+    for offset, fmt, value in MALFORMED_HEADERS[case]:
+        struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
     return path
 
 

@@ -513,7 +513,7 @@ def train_unfolded_oracle(train_pairs, val_pairs, cache, train_cfg, loss_cfg, la
     va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
     params = net.init_params(train_cfg.seed, layer_dims)
-    optimizer = net.OPTIMIZERS[train_cfg.optimizer](params, train_cfg.learning_rate)
+    optimizer = net.AdamOptimizer(params, train_cfg.learning_rate)
     n = len(train_pairs)
     history = []
     best_val = np.inf

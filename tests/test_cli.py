@@ -22,7 +22,7 @@ from efp.features import FeatureCache
 from efp.index import EmbeddingIndex
 from efp.net import SiameseModel
 
-from conftest import pair_triples
+from conftest import pair_triples, write_malformed_wav
 
 
 def wav_hash(root):
@@ -242,7 +242,12 @@ def test_usage_errors_exit_1(pipeline, tmp_path):
         ["split", "--manifest", str(pipeline["manifest"]), "--ratios", "0.9,0.05,0.04",
          "--out", str(tmp_path / "s.csv")],
         ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
-         "--optimizer", "rmsprop", "--out", str(tmp_path / "m.bin")],
+         "--scheme", "triplets", "--out", str(tmp_path / "m.bin")],
+        # Adam is the only optimizer and Hann the only window: neither is a flag
+        ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
+         "--optimizer", "adam", "--out", str(tmp_path / "m.bin")],
+        ["featurize", "--manifest", str(pipeline["manifest"]), "--window-fn", "hann",
+         "--out", str(tmp_path / "f.bin")],
         ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
          "--measure", "manhattan", "--clip-id", "x"],
         ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"])],
@@ -579,12 +584,13 @@ def test_traced_span_names_are_functions_the_tracer_wraps():
 def test_numeric_blowup_exits_3(pipeline, tmp_path):
     rc = cli.main([
         "train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
-        "--optimizer", "sgd", "--learning-rate", "1e100", "--epochs", "4",
+        "--learning-rate", "1e100", "--epochs", "4",
         "--out", str(tmp_path / "m.bin"),
     ])
     assert rc == cli.EXIT_NUMERIC
 
 
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 def test_featurize_partial_failure_keeps_good_clips(pipeline, tmp_path, capsys):
     base = corpus.Manifest.load(pipeline["manifest"])
     ghost = corpus.ClipRecord(
@@ -593,7 +599,15 @@ def test_featurize_partial_failure_keeps_good_clips(pipeline, tmp_path, capsys):
         segment_index=0,
         class_label="ghost",
     )
-    broken = corpus.Manifest(records=(*base.records, ghost))
+    # a header whose data chunk id is overwritten, which scipy's parser
+    # fails on with an UnboundLocalError
+    headless = corpus.ClipRecord(
+        clip_id="ghost/headless#0",
+        source_path=str(write_malformed_wav(tmp_path / "headless.wav", "no-data-chunk")),
+        segment_index=0,
+        class_label="ghost",
+    )
+    broken = corpus.Manifest(records=(*base.records, ghost, headless))
     manifest_path = tmp_path / "broken.csv"
     broken.save(manifest_path)
     cache_path = tmp_path / "partial.bin"
@@ -601,7 +615,9 @@ def test_featurize_partial_failure_keeps_good_clips(pipeline, tmp_path, capsys):
         "featurize", "--manifest", str(manifest_path), "--out", str(cache_path),
     ])
     assert rc == cli.EXIT_DATA
-    assert "featurize error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("featurize error") == 2
+    assert "missing.wav" in err and "headless.wav" in err
     assert len(FeatureCache.load(cache_path)) == len(base.records)
 
 
@@ -743,21 +759,23 @@ def test_small_training_run_does_not_collapse(tmp_path):
 
 
 # Each subcommand's option strings, frozen from the parser as it stood before
-# its settings flags were generated from the config dataclasses.
+# its settings flags were generated from the config dataclasses, less
+# --optimizer and --window-fn, which went when Adam became the only optimizer
+# and Hann the only window.
 OPTION_STRINGS = {
     "synth": "--classes --config --help --out --per-class --rate --seed -h",
     "featurize": "--amplitude-floor --config --fft-size --freq-bins --help --hop-ms "
-                 "--manifest --out --rate --seed --time-bins --window-fn --window-ms -h",
+                 "--manifest --out --rate --seed --time-bins --window-ms -h",
     "split": "--config --help --manifest --out --ratios --seed -h",
     "pairs": "--config --help --manifest --max-negatives-per-clip --out --scheme --seed "
              "--split -h",
     "train": "--batch-size --cache --config --dropout --epochs --help --history "
-             "--learning-rate --manifest --margin --max-negatives-per-clip --optimizer "
-             "--out --scheme --seed -h",
+             "--learning-rate --manifest --margin --max-negatives-per-clip --out "
+             "--scheme --seed -h",
     "index": "--cache --config --help --manifest --model --out --seed --split -h",
     "query": "--amplitude-floor --clip-id --config --exclude-self --fft-size --freq-bins "
              "--help --hop-ms --index --measure --model --rate --seed --time-bins --wav "
-             "--window-fn --window-ms -h -k",
+             "--window-ms -h -k",
     "evaluate": "--config --headline-k --help --index --k-max --measure --out-dir --seed -h",
 }
 
@@ -785,7 +803,9 @@ def _write_config(tmp_path, name, settings):
 
 
 def test_featurize_settings_from_file_match_flags(pipeline, tmp_path):
-    config = _write_config(tmp_path, "cfg.json", {"hop_ms": 16, "freq_bins": 40})
+    # window_fn names no flag, so the file's rectangular window is ignored
+    config = _write_config(tmp_path, "cfg.json",
+                           {"hop_ms": 16, "freq_bins": 40, "window_fn": "rectangular"})
     base = ["featurize", "--manifest", str(pipeline["manifest"]), "--out"]
     assert cli.main(base + [str(tmp_path / "file.bin"), "--config", config]) == 0
     assert cli.main(base + [str(tmp_path / "flag.bin"), "--hop-ms", "16",
@@ -796,7 +816,9 @@ def test_featurize_settings_from_file_match_flags(pipeline, tmp_path):
 
 
 def test_train_settings_from_file_match_flags(pipeline, tmp_path):
-    config = _write_config(tmp_path, "cfg.json", {"dropout": 0.0, "margin": 0.5})
+    # optimizer names no flag, so the file's SGD is ignored and Adam trains
+    config = _write_config(tmp_path, "cfg.json",
+                           {"dropout": 0.0, "margin": 0.5, "optimizer": "sgd"})
     base = ["train", "--manifest", str(pipeline["split"]), "--cache", str(pipeline["cache"]),
             "--epochs", "1", "--seed", "7", "--out"]
     assert cli.main(base + [str(tmp_path / "file.bin"), "--config", config]) == 0
@@ -832,7 +854,7 @@ def test_malformed_config_values_exit_1_and_name_the_key(pipeline, tmp_path, cap
     index = ["index", "--model", str(pipeline["model"]), "--cache", str(pipeline["cache"]),
              "--out", str(tmp_path / "i.bin")]
     cases = [(train, {"epochs": bad}) for bad in (None, {}, [1], True, 2.7)]
-    cases += [(train, {"optimizer": "rmsprop"}), (query, {"exclude_self": "yes"}),
+    cases += [(train, {"scheme": "triplets"}), (query, {"exclude_self": "yes"}),
               (query, {"measure": "manhattan"}), (index, {"split": "bogus"})]
     capsys.readouterr()
     for i, (argv, settings) in enumerate(cases):

@@ -1,4 +1,3 @@
-import itertools
 import logging
 import re
 
@@ -13,7 +12,6 @@ from efp.net import (
     AdamOptimizer,
     LossConfig,
     MlpParams,
-    SgdOptimizer,
     SiameseModel,
     TrainConfig,
     batch_loss_and_grads,
@@ -237,28 +235,6 @@ def test_grad_check_coordinate_sampling_runs_subset():
     assert rel < 1e-4
 
 
-def test_single_sgd_step_decreases_loss():
-    rng = np.random.default_rng(16)
-    x1 = rng.standard_normal(TINY[0])
-    x2 = rng.standard_normal(TINY[0])
-    for lr in (1e-2, 1e-3, 1e-4):
-        params = tiny_params(17)
-        before, grads = pair_loss_and_grads(params, x1, x2, 1, LossConfig())
-        assert before > 0
-        SgdOptimizer(params, lr).step(grads.flat)
-        e1 = embed_one(params, x1)
-        e2 = embed_one(params, x2)
-        after = contrastive_loss(1, pair_distance(e1, e2))
-        assert after < before
-
-
-def test_sgd_step_formula():
-    params = MlpParams(weights=[np.array([[2.0]])], biases=[np.array([0.5])])
-    SgdOptimizer(params, 0.1).step(np.array([3.0, -2.0]))
-    assert params.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 3.0, abs=1e-15)
-    assert params.biases[0][0] == pytest.approx(0.5 + 0.1 * 2.0, abs=1e-15)
-
-
 def test_adam_step_formula():
     params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     opt = AdamOptimizer(params, learning_rate=0.01)
@@ -277,8 +253,6 @@ def test_adam_step_formula():
     want -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert params.weights[0][0, 0] == pytest.approx(want, abs=1e-12)
     assert opt.t == 2
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
 
 
 def test_blocked_adam_equals_whole_array_oracle():
@@ -319,19 +293,6 @@ W0_SHAPES = [(7, 9001), (2, 2 * ADAM_BLOCK + 3), (3, ADAM_BLOCK - 1)]
 def two_layer_params(rng, w0_shape):
     return MlpParams(weights=[rng.standard_normal(w0_shape), rng.standard_normal((5, w0_shape[0]))],
                      biases=[np.zeros(w0_shape[0]), np.zeros(5)])
-
-
-def test_blocked_sgd_equals_whole_array_formula():
-    rng = np.random.default_rng(31)
-    for w0_shape, per_column in itertools.product(W0_SHAPES, (False, True)):
-        params = two_layer_params(rng, w0_shape)
-        column_rates = rng.uniform(1e-4, 1e-1, size=w0_shape[1]) if per_column else None
-        size = params.flat.size
-        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
-        lr = 0.01 if column_rates is None else per_coordinate_rates(params, 0.01, column_rates)
-        want = params.flat - lr * grad
-        SgdOptimizer(params, 0.01, column_rates).step(grad)
-        assert params.flat.tobytes() == want.tobytes()
 
 
 def test_blocked_adam_with_per_coordinate_rates_equals_oracle():
@@ -378,16 +339,15 @@ def test_adam_moments_are_algorithm_1s_and_the_step_agrees_to_rounding():
             assert 0.0 < np.abs(params.flat - want[0]).max() <= 1e-12 * moved
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 @pytest.mark.parametrize("rate", ["scalar", "vector"])
-def test_optimizer_step_allocates_nothing_at_full_size(optimizer, rate):
+def test_optimizer_step_allocates_nothing_at_full_size(rate):
     import tracemalloc
 
     size = net._param_count(net.DEFAULT_LAYER_DIMS)
     params = MlpParams.from_flat(net.DEFAULT_LAYER_DIMS, np.zeros(size))
     grad = np.full(size, 1e-3)
     column_rates = None if rate == "scalar" else np.full(net.DEFAULT_LAYER_DIMS[0], 1e-3)
-    opt = net.OPTIMIZERS[optimizer](params, 1e-3, column_rates)
+    opt = AdamOptimizer(params, 1e-3, column_rates)
     tracemalloc.start()
     try:
         opt.step(grad)
@@ -579,8 +539,7 @@ def planted_duplicates_cache(seed=26, n_per_class=6, n_distinct=12, dim=40):
                         labels=base.labels, matrix=base.matrix[:, source])
 
 
-@pytest.mark.parametrize("optimizer, lr", [("adam", 1e-2), ("sgd", 0.1)])
-def test_folded_training_matches_the_unfolded_oracle(monkeypatch, optimizer, lr):
+def test_folded_training_matches_the_unfolded_oracle(monkeypatch):
     """With duplicated input columns the folded layer 0 learns the model the
     full-width loop learns, up to rounding. The float64 parameters are
     compared, before the float32 rounding a model applies, which could split
@@ -588,8 +547,7 @@ def test_folded_training_matches_the_unfolded_oracle(monkeypatch, optimizer, lr)
     monkeypatch.setattr(net, "_quantize_f32", lambda a: np.array(a, dtype=np.float64))
     cache = planted_duplicates_cache()
     pairs = cluster_pairs(cache)
-    cfg = TrainConfig(epochs=6, batch_size=16, learning_rate=lr, optimizer=optimizer,
-                      dropout=0.0, seed=11)
+    cfg = TrainConfig(epochs=6, batch_size=16, learning_rate=1e-2, dropout=0.0, seed=11)
     dims = (40, 8, 6, 4)
     _, _, counts = net._groups(cache.matrix.astype(np.float64), 1)
     assert counts.size == 12 and counts.max() > 1
@@ -603,11 +561,10 @@ def test_folded_training_matches_the_unfolded_oracle(monkeypatch, optimizer, lr)
         assert np.allclose(row[1:], want_row[1:], rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_training_without_repeated_columns_writes_the_unfolded_model(monkeypatch, optimizer):
+def test_training_without_repeated_columns_writes_the_unfolded_model(monkeypatch):
     cache = cluster_cache(seed=27)
     pairs = cluster_pairs(cache)
-    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=1e-2, optimizer=optimizer, seed=12)
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=1e-2, seed=12)
     dims = (10, 8, 6, 4)
     got = train(pairs, pairs, cache, cfg, layer_dims=dims)
     want, history = train_unfolded_oracle(pairs, pairs, cache, cfg, LossConfig(), dims)
@@ -710,7 +667,7 @@ def test_train_with_identical_features_leaves_params_at_init():
         matrix=np.stack([row, row]),
     )
     pairs = PairSet.from_rows([("c/a#0", "c/b#0", 1)])
-    cfg = TrainConfig(epochs=3, batch_size=4, optimizer="sgd", dropout=0.0, seed=2)
+    cfg = TrainConfig(epochs=3, batch_size=4, dropout=0.0, seed=2)
     result = train(pairs, pairs, cache, cfg, layer_dims=(dim, 6, 4))
     init = init_params(2, (dim, 6, 4))
     for got, want in zip(result.model.params.weights, init.weights):
@@ -729,8 +686,6 @@ def test_train_rejects_bad_inputs():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(dropout=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="lbfgs")
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=lr)
@@ -739,7 +694,7 @@ def test_train_rejects_bad_inputs():
 def test_train_aborts_on_numeric_blowup():
     cache = cluster_cache()
     pairs = cluster_pairs(cache)
-    cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=1e100, optimizer="sgd", seed=3)
+    cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=1e100, seed=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             train(pairs, pairs, cache, cfg, layer_dims=(10, 8, 6, 4))

@@ -6,7 +6,7 @@ import pytest
 from efp.errors import DataError
 from efp.wav import PcmClip, decode_wav, read_wav_mono, resample_linear
 
-from conftest import write_wav
+from conftest import MALFORMED_HEADERS, write_malformed_wav, write_wav
 
 
 def test_five_second_file_yields_two_clips(tmp_path):
@@ -137,3 +137,11 @@ def test_clip_invariant_rejects_non_finite():
     samples[7] = np.nan
     with pytest.raises(ValueError):
         PcmClip(samples=samples, sample_rate_hz=16000, clip_id="nan")
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_raises_data_error(tmp_path, case):
+    path = write_malformed_wav(tmp_path / "bad.wav", case)
+    with pytest.raises(DataError, match="bad.wav"):
+        list(decode_wav(path, 16000))
