@@ -199,37 +199,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The table sum and the per-sample sine differ by under 6e-8 of an int16 step:
+# half an ulp of a sine argument below 2**16, times six notes, 0.35 * sqrt(2),
+# the largest gain and 32767. So only a level this close to a rounding tie
+# can round differently; a clip with one is made the per-sample way.
+_TIE_BAND = 2.5e-7
+
+
+def _levels(bed: np.ndarray, chord: np.ndarray, gain: float) -> np.ndarray:
+    """A clip's samples in int16 steps, before rounding."""
+    mix = bed + 0.35 * chord
+    mix *= gain
+    return np.clip(mix, -1.0, 1.0) * 32767.0
+
+
 def _write_clips(seed: int, k: int, first: int, paths: list[str], notes: np.ndarray,
                  t: np.ndarray, rate_hz: int) -> None:
     """Write clips ``first``, ``first + 1``, ... of class ``k`` to ``paths``;
     one pool job.
 
-    The chord's sine argument without the phases is the same for every clip
-    of a class, so it is made once per job; each clip adds its phases into
-    one scratch buffer. That is the float arithmetic of
-    ``np.sqrt(2.0) * np.sin(2.0 * np.pi * notes[:, None] * t + phases[:, None])``,
-    in the same order, so every sample is the same bit for bit.
+    The chord of a clip is ``sqrt(2) * sin(2 pi f t + phase)`` summed over the
+    class's notes ``f``. By angle addition that is ``sin(2 pi f t) * sqrt(2)
+    cos(phase) + cos(2 pi f t) * sqrt(2) sin(phase)``, so the job takes the
+    sine and cosine of ``2 pi f t`` once, as one 12-row table, and a clip's
+    chord is its 12 coefficients summed against that table (``einsum``, which
+    uses no BLAS, so the sum does not depend on a thread count). The samples
+    differ from the per-sample sine's only far below an int16 step; a clip
+    with a level within ``_TIE_BAND`` of a rounding tie is made with the
+    per-sample sine, so every clip's bytes are the per-sample formula's.
     """
     ramp = 2.0 * np.pi * notes[:, None] * t
-    buf = np.empty_like(ramp)
+    table = np.concatenate([np.sin(ramp), np.cos(ramp)])
     for i, path in enumerate(paths, first):
         rng = np.random.default_rng([seed, k, i])
         bed = rng.standard_normal(len(t))
         bed /= _rms(bed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=notes.shape)
-        np.add(ramp, phases[:, None], out=buf)
-        np.sin(buf, out=buf)
-        buf *= np.sqrt(2.0)
-        mix = bed + 0.35 * np.sum(buf, axis=0)
-        mix *= 0.05 * 10.0 ** (rng.uniform(-9.0, 9.0) / 20.0)
-        samples = np.clip(mix, -1.0, 1.0)
+        gain = 0.05 * 10.0 ** (rng.uniform(-9.0, 9.0) / 20.0)
+        coef = np.sqrt(2.0) * np.concatenate([np.cos(phases), np.sin(phases)])
+        levels = _levels(bed, np.einsum("j,jt->t", coef, table), gain)
+        if np.any(np.abs(levels - np.floor(levels) - 0.5) < _TIE_BAND):
+            chord = np.sum(np.sqrt(2.0) * np.sin(ramp + phases[:, None]), axis=0)
+            levels = _levels(bed, chord, gain)
         try:
             # 16-bit PCM mono, the bytes scipy.io.wavfile.write gives
             with binio.atomic_write(path) as f, wave.open(f, "wb") as out:
                 out.setnchannels(1)
                 out.setsampwidth(2)
                 out.setframerate(rate_hz)
-                out.writeframes((samples * 32767.0).round().astype("<i2").tobytes())
+                out.writeframes(levels.round().astype("<i2").tobytes())
         except OSError as exc:
             raise DataError(f"{path}: cannot write WAV ({exc})") from exc
 
@@ -252,10 +270,13 @@ def generate_synthetic(
     separable but makes naive distance-in-feature-space comparisons noisy.
 
     The clips are written by a pool of one thread per CPU this process may
-    run on, in runs of consecutive clips of one class. Each clip draws from
-    its own generator, seeded ``[seed, k, i]``, so the files do not depend on
-    the number of threads. Every thread has ended when this returns or
-    raises; after a failed clip the runs not yet started are dropped.
+    run on, in runs of consecutive clips of one class. A run takes the sine
+    and cosine of its class's notes once, and each clip's chord is a sum of
+    that table's rows (``_write_clips``); the WAV bytes are those of a sine
+    taken at every sample. Each clip draws from its own generator, seeded
+    ``[seed, k, i]``, so the files do not depend on the number of threads.
+    Every thread has ended when this returns or raises; after a failed clip
+    the runs not yet started are dropped.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")

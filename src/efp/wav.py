@@ -75,7 +75,8 @@ def read_wav_mono(path: str | os.PathLike, target_rate_hz: int) -> np.ndarray:
 
     Stereo (or more channels) is averaged to mono before resampling.
     Raises DataError for unreadable files, malformed or non-WAV headers, rates
-    below ``MIN_RATE_HZ``, unsupported sample formats and zero-length audio.
+    below ``MIN_RATE_HZ``, unsupported sample formats, zero-length audio and
+    float samples that are NaN or infinite.
     """
     # imported here, so that the stages that never read a WAV do not pay for
     # importing scipy
@@ -93,6 +94,8 @@ def read_wav_mono(path: str | os.PathLike, target_rate_hz: int) -> np.ndarray:
         raise DataError(f"{path}: sample rate {src_rate} Hz is below {MIN_RATE_HZ} Hz")
     if data.size == 0:
         raise DataError(f"{path}: zero-length audio")
+    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+        raise DataError(f"{path}: non-finite float samples")
     samples = _to_float(data)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)

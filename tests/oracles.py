@@ -398,6 +398,21 @@ def groups_oracle(A, axis):
     return first[order], renumber[group.reshape(-1)], counts[order]
 
 
+def synth_clip_oracle(seed, k, i, notes, t):
+    """Clip ``i`` of class ``k`` of a synthetic corpus as int16 samples, with
+    each note's sine taken at every sample: the operations, in their order,
+    of the writer that first made the corpus (noise bed, phases, chord, gain,
+    clip to +/-1, quantize)."""
+    rng = np.random.default_rng([seed, k, i])
+    bed = rng.standard_normal(len(t))
+    bed /= np.sqrt(np.mean(np.square(bed)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=notes.shape)
+    chord = np.sqrt(2.0) * np.sin(2.0 * np.pi * notes[:, None] * t + phases[:, None])
+    mix = bed + 0.35 * np.sum(chord, axis=0)
+    mix *= 0.05 * 10.0 ** (rng.uniform(-9.0, 9.0) / 20.0)
+    return (np.clip(mix, -1.0, 1.0) * 32767.0).round().astype(np.int16)
+
+
 # --- Helpers that drive efp.net itself ---------------------------------------
 
 

@@ -22,7 +22,7 @@ from efp.features import FeatureCache
 from efp.index import EmbeddingIndex
 from efp.net import SiameseModel
 
-from conftest import pair_triples, write_malformed_wav
+from conftest import pair_triples, write_malformed_wav, write_wav
 
 
 def wav_hash(root):
@@ -607,7 +607,16 @@ def test_featurize_partial_failure_keeps_good_clips(pipeline, tmp_path, capsys):
         segment_index=0,
         class_label="ghost",
     )
-    broken = corpus.Manifest(records=(*base.records, ghost, headless))
+    # a float32 file with one NaN sample, which np.clip would pass on
+    nan_samples = np.zeros(40000)
+    nan_samples[5] = np.nan
+    nan = corpus.ClipRecord(
+        clip_id="ghost/nan#0",
+        source_path=str(write_wav(tmp_path / "nan.wav", nan_samples, dtype=np.float32)),
+        segment_index=0,
+        class_label="ghost",
+    )
+    broken = corpus.Manifest(records=(*base.records, ghost, headless, nan))
     manifest_path = tmp_path / "broken.csv"
     broken.save(manifest_path)
     cache_path = tmp_path / "partial.bin"
@@ -616,8 +625,8 @@ def test_featurize_partial_failure_keeps_good_clips(pipeline, tmp_path, capsys):
     ])
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("featurize error") == 2
-    assert "missing.wav" in err and "headless.wav" in err
+    assert err.count("featurize error") == 3
+    assert "missing.wav" in err and "headless.wav" in err and "nan.wav" in err
     assert len(FeatureCache.load(cache_path)) == len(base.records)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from efp import corpus
 from efp.corpus import (
     CHORD_NOTES,
     ClipRecord,
@@ -22,6 +23,7 @@ from efp.corpus import (
 from efp.errors import DataError
 
 from conftest import write_wav
+from oracles import synth_clip_oracle
 
 
 def fake_manifest(files_per_class, segments_per_file=1):
@@ -264,6 +266,9 @@ def test_generate_synthetic_bitwise_reproducible(tmp_path):
 # manifest order, as written by the one-clip-at-a-time writer this corpus
 # first came from
 SYNTH_3X6_SEED4_SHA256 = "6ed5735898fd6bd28bf0dca2486f9ac71a29dac2d3807a3daca31c574fbf4943"
+# the same for generate_synthetic(5, 40, seed=1), the corpus of the benchmark's
+# acceptance workload at seed 1, as written by the per-sample sine
+SYNTH_5X40_SEED1_SHA256 = "4a2d63a3e54940fc141af2f77aca8f68d02e420dce2bcafb42b14d3f194b2864"
 
 
 def corpus_sha256(m):
@@ -280,6 +285,44 @@ def test_generate_synthetic_bytes_are_pinned(tmp_path):
     m = generate_synthetic(3, 6, seed=4, out_dir=tmp_path)
     assert len(m) == 18
     assert corpus_sha256(m) == SYNTH_3X6_SEED4_SHA256
+
+
+def test_generate_synthetic_acceptance_corpus_bytes_are_pinned(tmp_path):
+    m = generate_synthetic(5, 40, seed=1, out_dir=tmp_path)
+    assert len(m) == 200
+    assert corpus_sha256(m) == SYNTH_5X40_SEED1_SHA256
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_generate_synthetic_matches_the_per_sample_oracle(tmp_path, seed):
+    """Every sample of a 20-class corpus, which deals out all 120 tone slots,
+    equals the per-sample sine formula's."""
+    m = generate_synthetic(20, 6, seed=seed, out_dir=tmp_path)
+    slots = np.geomspace(300.0, 3000.0, 20 * CHORD_NOTES)
+    t = np.arange(32000) / 16000
+    for r in m.records:
+        k = int(r.class_label[-2:])
+        i = int(os.path.basename(r.source_path)[-7:-4])
+        _, data = wavfile.read(r.source_path)
+        np.testing.assert_array_equal(
+            data, synth_clip_oracle(seed, k, i, slots[k::20], t), err_msg=r.clip_id)
+
+
+def test_a_level_near_a_rounding_tie_is_made_with_the_per_sample_sine(tmp_path, monkeypatch):
+    """Sample 31613 of clip 88 of class 4 of a 20-class corpus at seed 1015 is
+    -3136.4999999988 int16 steps by the per-sample sine and -3136.5000000003
+    by the sine table, so only the per-sample sine rounds it to -3136."""
+    notes = np.geomspace(300.0, 3000.0, 20 * CHORD_NOTES)[4::20]
+    t = np.arange(32000) / 16000
+    expected = synth_clip_oracle(1015, 4, 88, notes, t)
+    path = str(tmp_path / "clip.wav")
+    corpus._write_clips(1015, 4, 88, [path], notes, t, 16000)
+    np.testing.assert_array_equal(wavfile.read(path)[1], expected)
+    monkeypatch.setattr(corpus, "_TIE_BAND", 0.0)
+    corpus._write_clips(1015, 4, 88, [path], notes, t, 16000)
+    data = wavfile.read(path)[1]
+    assert np.flatnonzero(data != expected).tolist() == [31613]
+    assert (data[31613], expected[31613]) == (-3137, -3136)
 
 
 @pytest.mark.parametrize("source, cpus", [

@@ -108,6 +108,18 @@ def test_float_input_is_clipped(tmp_path):
     assert samples[1] == -1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_samples_raise_data_error(tmp_path, dtype, bad):
+    """np.clip keeps NaN, so a float file's samples are checked before it;
+    the error names the file, and a manifest run lists it and goes on."""
+    data = np.zeros(40000)
+    data[5] = bad
+    path = write_wav(tmp_path / "nan.wav", data, dtype=dtype)
+    with pytest.raises(DataError, match="nan.wav: non-finite"):
+        read_wav_mono(path, 16000)
+
+
 def test_non_wav_file_raises(tmp_path):
     path = tmp_path / "not.wav"
     path.write_bytes(b"definitely not audio")
