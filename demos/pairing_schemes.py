@@ -38,9 +38,3 @@ unbalanced = make_pairs(records, PairingConfig(scheme="unbalanced", seed=0))
 n_neg = int((unbalanced.y == 0).sum())
 print(f"\nunbalanced scheme: {len(unbalanced)} pairs, {n_neg} negative "
       f"(every cross-class pair: 5*4 + 5*3 + 4*3 = {5 * 4 + 5 * 3 + 4 * 3})")
-
-capped = make_pairs(
-    records, PairingConfig(scheme="unbalanced", seed=0, max_negatives_per_clip=2)
-)
-n_neg = int((capped.y == 0).sum())
-print(f"capped at 2 negatives per anchor clip: {n_neg} negatives")

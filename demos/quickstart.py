@@ -4,7 +4,7 @@ import tempfile
 import time
 
 from efp import corpus, metrics, pairs
-from efp.features import FeatConfig, StftConfig, featurize_manifest
+from efp.features import featurize_manifest
 from efp.index import build_index, query
 from efp.net import LossConfig, TrainConfig, train
 
@@ -17,8 +17,8 @@ manifest = corpus.generate_synthetic(3, 10, 0, f"{workdir}/corpus")
 print(f"synthesized {len(manifest)} two-second clips, "
       f"classes: {', '.join(manifest.class_set)}")
 
-# 2. every clip becomes one flat log-spectrogram vector
-cache, errors = featurize_manifest(manifest.records, StftConfig(), FeatConfig())
+# 2. every clip becomes one flat log-spectrogram vector (16 kHz, 79 x 171)
+cache, errors = featurize_manifest(manifest.records)
 assert not errors
 print(f"feature cache: {len(cache)} vectors of {cache.dim} values each")
 

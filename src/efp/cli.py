@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 usage error (bad flags or values), 2 data error
 (bad input, or a file that cannot be read or written), 3 numeric failure.
-The flags of the settings in StftConfig, FeatConfig, PairingConfig, TrainConfig
-and LossConfig are made from those dataclasses' fields, and an unset flag keeps
-the field's default. Every optional flag can also be set in a JSON config file
-under its dest name. Settings resolve as flag > config file > EFP_SEED (seed
-only) > default, and one global seed derives each stage's seed by a fixed
-offset so stages can be rerun independently without losing reproducibility.
+The flags of the settings in PairingConfig, TrainConfig and LossConfig are made
+from those dataclasses' fields, and an unset flag keeps the field's default.
+Every optional flag can also be set in a JSON config file under its dest name;
+a key that names no flag of the command is ignored. Settings resolve as flag >
+config file > EFP_SEED (seed only) > default, and one global seed derives each
+stage's seed by a fixed offset so stages can be rerun independently without
+losing reproducibility. Featurizing has no settings: featurize and query --wav
+both use the constants of efp.features, so a query is always featurized the
+way the cache was.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ import numpy as np
 
 from . import corpus, metrics, net, pairs, wav
 from .errors import DataError, NumericError
-from .features import (
-    DEFAULT_RATE_HZ,
-    FeatConfig,
-    FeatureCache,
-    StftConfig,
-    featurize_clip,
-    featurize_manifest,
-)
+from .features import DEFAULT_RATE_HZ, FeatureCache, featurize_clip, featurize_manifest
 from .index import MEASURES, EmbeddingIndex, build_index, query as index_query
 from .net import LossConfig, SiameseModel, TrainConfig
 
@@ -90,8 +86,7 @@ def _flags(*classes) -> _Parser:
     for cls in classes:
         for f in dataclasses.fields(cls):
             if f.name != "seed":
-                kind = int if f.default is None else type(f.default)
-                parser.add_argument("--" + f.name.replace("_", "-"), type=kind,
+                parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                                     help=f"default {f.default}")
     return parser
 
@@ -112,23 +107,13 @@ def _ratios(text: str) -> tuple[float, float, float]:
     return train, val, test
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
-
-
 def cmd_synth(args) -> int:
     if args.classes < 2:
         raise UsageError(f"--classes must be >= 2, got {args.classes}")
     if args.per_class < 6:
         raise UsageError(f"--per-class must be >= 6, got {args.per_class}")
-    manifest = corpus.generate_synthetic(
-        args.classes, args.per_class, _stage_seed(args, "synth"), args.out, rate_hz=args.rate
-    )
+    manifest = corpus.generate_synthetic(args.classes, args.per_class,
+                                         _stage_seed(args, "synth"), args.out)
     manifest_path = os.path.join(args.out, "manifest.csv")
     manifest.save(manifest_path)
     print(
@@ -139,9 +124,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    stft_cfg, feat_cfg = _config(StftConfig, args), _config(FeatConfig, args)
     manifest = corpus.Manifest.load(args.manifest)
-    cache, errors = featurize_manifest(manifest.records, stft_cfg, feat_cfg, rate_hz=args.rate)
+    cache, errors = featurize_manifest(manifest.records)
     cache.save(args.out)
     print(f"cached {len(cache)} of {len(manifest)} clips -> {args.out}")
     if errors:
@@ -223,13 +207,13 @@ def _query_embedding(args, model: SiameseModel, idx: EmbeddingIndex) -> np.ndarr
         raise UsageError("provide exactly one of --wav or --clip-id")
     if args.clip_id is not None:
         return idx.vector(args.clip_id).astype(np.float64)
-    clips = list(wav.decode_wav(args.wav, args.rate))
+    clips = list(wav.decode_wav(args.wav, DEFAULT_RATE_HZ))
     if not clips:
         raise DataError(f"{args.wav}: no full 2-second clip to query with")
-    feat = featurize_clip(clips[0], _config(StftConfig, args), _config(FeatConfig, args))
+    feat = featurize_clip(clips[0])
     if feat.values.shape[0] != model.input_dim:
         raise DataError(
-            f"feature settings produce {feat.values.shape[0]} dims but the "
+            f"features have {feat.values.shape[0]} dims but the "
             f"model expects {model.input_dim}"
         )
     return model.embed(feat.values.astype(np.float32))
@@ -287,9 +271,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
     common.add_argument("--config", default=None, help="JSON config file")
-    rate = _Parser(add_help=False)
-    rate.add_argument("--rate", type=_positive_int, default=DEFAULT_RATE_HZ, help="sample rate in Hz")
-    feat, pairing = _flags(StftConfig, FeatConfig), _flags(pairs.PairingConfig)
+    pairing = _flags(pairs.PairingConfig)
 
     parser = _Parser(
         prog="efp",
@@ -297,13 +279,13 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth", parents=[common, rate], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("featurize", parents=[common, rate, feat], help="build the feature cache")
+    p = sub.add_parser("featurize", parents=[common], help="build the feature cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="feature cache file")
     p.set_defaults(func=cmd_featurize)
@@ -338,9 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output index file")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser(
-        "query", parents=[common, rate, feat], help="rank the database for one query"
-    )
+    p = sub.add_parser("query", parents=[common], help="rank the database for one query")
     p.add_argument("--model", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--wav", default=None, help="query WAV file (first 2 s clip is used)")

@@ -95,7 +95,7 @@ class Manifest:
         return cls(records=tuple(records))
 
 
-def build_manifest(root_dir, rate_hz: int = DEFAULT_RATE_HZ) -> Manifest:
+def build_manifest(root_dir) -> Manifest:
     """Scan root_dir (one subdirectory per class) into a manifest.
 
     Emits one record per 2-second segment, mirroring decode_wav's counting.
@@ -118,11 +118,11 @@ def build_manifest(root_dir, rate_hz: int = DEFAULT_RATE_HZ) -> Manifest:
                 continue
             path = os.path.join(class_dir, name)
             try:
-                samples = wav.read_wav_mono(path, rate_hz)
+                samples = wav.read_wav_mono(path, DEFAULT_RATE_HZ)
             except DataError as exc:
                 logger.warning("skipping %s: %s", path, exc)
                 continue
-            n_segments = wav.segment_count(len(samples), rate_hz)
+            n_segments = wav.segment_count(len(samples), DEFAULT_RATE_HZ)
             if n_segments == 0:
                 logger.warning("skipping %s: shorter than one 2 s segment", path)
             for i in range(n_segments):
@@ -214,7 +214,7 @@ def _levels(bed: np.ndarray, chord: np.ndarray, gain: float) -> np.ndarray:
 
 
 def _write_clips(seed: int, k: int, first: int, paths: list[str], notes: np.ndarray,
-                 t: np.ndarray, rate_hz: int) -> None:
+                 t: np.ndarray) -> None:
     """Write clips ``first``, ``first + 1``, ... of class ``k`` to ``paths``;
     one pool job.
 
@@ -246,20 +246,15 @@ def _write_clips(seed: int, k: int, first: int, paths: list[str], notes: np.ndar
             with binio.atomic_write(path) as f, wave.open(f, "wb") as out:
                 out.setnchannels(1)
                 out.setsampwidth(2)
-                out.setframerate(rate_hz)
+                out.setframerate(DEFAULT_RATE_HZ)
                 out.writeframes(levels.round().astype("<i2").tobytes())
         except OSError as exc:
             raise DataError(f"{path}: cannot write WAV ({exc})") from exc
 
 
-def generate_synthetic(
-    n_classes: int,
-    clips_per_class: int,
-    seed: int,
-    out_dir,
-    rate_hz: int = DEFAULT_RATE_HZ,
-) -> Manifest:
-    """Write a deterministic synthetic corpus of 2 s WAV files.
+def generate_synthetic(n_classes: int, clips_per_class: int, seed: int, out_dir) -> Manifest:
+    """Write a deterministic synthetic corpus of 2 s WAV files at
+    DEFAULT_RATE_HZ.
 
     Every clip is a fresh white-noise bed scaled by a large random per-clip
     gain (within +/-9 dB), so raw levels and spectra look alike across
@@ -288,7 +283,7 @@ def generate_synthetic(
 
     out_dir = os.fspath(out_dir)
     slots = np.geomspace(300.0, 3000.0, n_classes * CHORD_NOTES)
-    t = np.arange(rate_hz * wav.CLIP_SECONDS) / rate_hz
+    t = np.arange(DEFAULT_RATE_HZ * wav.CLIP_SECONDS) / DEFAULT_RATE_HZ
     workers = _usable_cpus()
     run = -(-clips_per_class // workers)  # each class in about one run per thread
     records: list[ClipRecord] = []
@@ -315,10 +310,8 @@ def generate_synthetic(
                     )
                 )
             for first in range(0, clips_per_class, run):
-                jobs.append(pool.submit(
-                    _write_clips, seed, k, first, paths[first : first + run],
-                    slots[k::n_classes], t, rate_hz,
-                ))
+                jobs.append(pool.submit(_write_clips, seed, k, first, paths[first : first + run],
+                                        slots[k::n_classes], t))
         for job in jobs:
             job.result()
     finally:

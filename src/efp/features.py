@@ -20,52 +20,19 @@ from .wav import PcmClip
 
 logger = logging.getLogger(__name__)
 
+# The one featurization: every clip is decoded at DEFAULT_RATE_HZ, and at that
+# rate the 64 ms Hann window is exactly FFT_SIZE samples, so no zero-padding
+# occurs. The 79 x 171 grid is the 13509-dim input of the twin network.
 DEFAULT_RATE_HZ = 16000
+FFT_SIZE = 1024
+WINDOW_MS = 64
+HOP_MS = 32
+FREQ_BINS = 79
+TIME_BINS = 171
+AMPLITUDE_FLOOR = 1e-6
 
 CACHE_MAGIC = b"EFPF"
 CACHE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    """Short-time Fourier transform settings.
-
-    At 16 kHz the 64 ms default window is exactly 1024 samples, matching
-    fft_size so no zero-padding occurs.
-    """
-
-    fft_size: int = 1024
-    window_ms: int = 64
-    hop_ms: int = 32
-
-    def __post_init__(self):
-        if self.fft_size <= 0 or self.fft_size & (self.fft_size - 1):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if not 0 < self.hop_ms <= self.window_ms:
-            raise ValueError("need 0 < hop_ms <= window_ms")
-
-    def win_samples(self, rate_hz: int) -> int:
-        return rate_hz * self.window_ms // 1000
-
-    def hop_samples(self, rate_hz: int) -> int:
-        return rate_hz * self.hop_ms // 1000
-
-
-@dataclass(frozen=True)
-class FeatConfig:
-    freq_bins: int = 79
-    time_bins: int = 171
-    amplitude_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.freq_bins < 1 or self.time_bins < 1:
-            raise ValueError("freq_bins and time_bins must be positive")
-        if not 0 < self.amplitude_floor < np.inf:
-            raise ValueError(f"amplitude_floor must be positive and finite, got {self.amplitude_floor}")
-
-    @property
-    def dim(self) -> int:
-        return self.freq_bins * self.time_bins
 
 
 @dataclass(frozen=True)
@@ -75,25 +42,24 @@ class LogSpecFeature:
     values: np.ndarray
 
 
-def stft(clip: PcmClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Complex spectrogram of shape (n_frames, fft_size//2 + 1).
+def stft(clip: PcmClip) -> np.ndarray:
+    """Complex spectrogram of shape (n_frames, FFT_SIZE//2 + 1).
 
-    Each frame is multiplied by a Hann window. Frame count is
-    floor((len - win) / hop) + 1; only non-negative frequencies are kept.
+    Each frame is multiplied by a Hann window of WINDOW_MS at the clip's own
+    rate. Frame count is floor((len - win) / hop) + 1; only non-negative
+    frequencies are kept.
     """
-    win = cfg.win_samples(clip.sample_rate_hz)
-    hop = cfg.hop_samples(clip.sample_rate_hz)
+    win = clip.sample_rate_hz * WINDOW_MS // 1000
+    hop = clip.sample_rate_hz * HOP_MS // 1000
     if win < 1 or hop < 1:
         raise ValueError(
             f"window/hop shorter than one sample at {clip.sample_rate_hz} Hz"
         )
-    if win > cfg.fft_size:
-        raise ValueError(f"window of {win} samples exceeds fft_size {cfg.fft_size}")
+    if win > FFT_SIZE:
+        raise ValueError(f"window of {win} samples exceeds fft size {FFT_SIZE}")
     samples = np.asarray(clip.samples, dtype=np.float64)
-    if len(samples) < win:
-        raise DataError(f"clip {clip.clip_id!r} is shorter than one analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
-    return np.fft.rfft(frames * np.hanning(win), n=cfg.fft_size, axis=1)
+    return np.fft.rfft(frames * np.hanning(win), n=FFT_SIZE, axis=1)
 
 
 def _log_bin_assignments(n_positions: int, n_out: int) -> np.ndarray:
@@ -134,29 +100,27 @@ def _pooling_matrices(n_frames: int, n_bins: int, freq_bins: int, time_bins: int
     return out
 
 
-def log_quantize(spec: np.ndarray, cfg: FeatConfig = FeatConfig()) -> LogSpecFeature:
+def log_quantize(spec: np.ndarray) -> LogSpecFeature:
     """Reduce a complex spectrogram to the flat log-magnitude feature vector.
 
-    Frequency bins 1..Nyquist are mean-pooled into cfg.freq_bins log-spaced
+    Frequency bins 1..Nyquist are mean-pooled into FREQ_BINS log-spaced
     bands (DC folded into the first band); frames are remapped onto
-    cfg.time_bins log-spaced positions the same way. Amplitudes become
-    log(magnitude + amplitude_floor). Each pooling is a product with a 0/1
+    TIME_BINS log-spaced positions the same way. Amplitudes become
+    log(magnitude + AMPLITUDE_FLOOR). Each pooling is a product with a 0/1
     matrix followed by a division by the bin counts, which adds and divides
     as a per-bin loop would, up to the order of the sums.
     """
     if spec.size == 0:
         raise DataError("empty spectrogram")
     mag = np.abs(np.asarray(spec))
-    Sf, cf, StT, ct = _pooling_matrices(*mag.shape, cfg.freq_bins, cfg.time_bins)
-    values = np.log((Sf @ mag.T) / cf @ StT / ct + cfg.amplitude_floor)
+    Sf, cf, StT, ct = _pooling_matrices(*mag.shape, FREQ_BINS, TIME_BINS)
+    values = np.log((Sf @ mag.T) / cf @ StT / ct + AMPLITUDE_FLOOR)
     return LogSpecFeature(values=values.reshape(-1))
 
 
-def featurize_clip(
-    clip: PcmClip, stft_cfg: StftConfig = StftConfig(), feat_cfg: FeatConfig = FeatConfig()
-) -> LogSpecFeature:
+def featurize_clip(clip: PcmClip) -> LogSpecFeature:
     """stft followed by log_quantize; pure and deterministic."""
-    return log_quantize(stft(clip, stft_cfg), feat_cfg)
+    return log_quantize(stft(clip))
 
 
 @dataclass
@@ -198,12 +162,7 @@ class FeatureCache(binio.LabeledRows):
         return cls(freq_bins, time_bins, *records)
 
 
-def featurize_manifest(
-    records: Iterable,
-    stft_cfg: StftConfig = StftConfig(),
-    feat_cfg: FeatConfig = FeatConfig(),
-    rate_hz: int = DEFAULT_RATE_HZ,
-) -> tuple[FeatureCache, list[str]]:
+def featurize_manifest(records: Iterable) -> tuple[FeatureCache, list[str]]:
     """Featurize every record (clip_id, source_path, segment_index, class_label).
 
     Each source file is decoded once. Files that fail to decode are collected
@@ -214,14 +173,15 @@ def featurize_manifest(
         by_path.setdefault(rec.source_path, []).append(rec)
     # one row per record, written in place; the rows of clips that fail are
     # trimmed off the end
-    matrix = np.empty((sum(map(len, by_path.values())), feat_cfg.dim), dtype=np.float32)
+    matrix = np.empty((sum(map(len, by_path.values())), FREQ_BINS * TIME_BINS),
+                      dtype=np.float32)
     ids: list[str] = []
     labels: list[str] = []
     errors: list[str] = []
     for path in sorted(by_path):
         wanted = {rec.segment_index: rec for rec in by_path[path]}
         try:
-            clips = list(wav.decode_wav(path, rate_hz))
+            clips = list(wav.decode_wav(path, DEFAULT_RATE_HZ))
         except DataError as exc:
             errors.append(str(exc))
             continue
@@ -229,11 +189,10 @@ def featurize_manifest(
             rec = wanted.pop(i, None)
             if rec is None:
                 continue
-            matrix[len(ids)] = featurize_clip(clip, stft_cfg, feat_cfg).values
+            matrix[len(ids)] = featurize_clip(clip).values
             ids.append(rec.clip_id)
             labels.append(rec.class_label)
         for rec in sorted(wanted.values(), key=lambda r: r.segment_index):
             errors.append(f"{path}: segment {rec.segment_index} not present in decoded audio")
-    cache = FeatureCache(feat_cfg.freq_bins, feat_cfg.time_bins, ids, labels,
-                         matrix[: len(ids)])
+    cache = FeatureCache(FREQ_BINS, TIME_BINS, ids, labels, matrix[: len(ids)])
     return cache, errors

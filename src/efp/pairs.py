@@ -57,13 +57,10 @@ class PairSet:
 class PairingConfig:
     scheme: str = "unbalanced"
     seed: int = 0
-    max_negatives_per_clip: int | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown pairing scheme {self.scheme!r}")
-        if self.max_negatives_per_clip is not None and self.max_negatives_per_clip < 1:
-            raise ValueError("max_negatives_per_clip must be >= 1 when set")
 
 
 def _classes(clips: Sequence[ClipRecord], scheme: str | None = None):
@@ -137,25 +134,10 @@ def balanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
 
 
 def unbalanced_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:
-    """All positives plus every cross-class pair (optionally capped per anchor).
-
-    With max_negatives_per_clip set, each clip keeps at most that many of the
-    negatives where it is the anchor (clip_a), one run of ``first``: a longer
-    run keeps a seeded draw without replacement, in order, anchor by anchor.
-    """
+    """All positives plus every cross-class pair; nothing is drawn, so the
+    seed in ``cfg`` is not used."""
     ids, codes = _classes(clips, "unbalanced")
-    first, second = _all_negatives(codes)
-    cap = cfg.max_negatives_per_clip
-    if cap is not None:
-        starts = np.flatnonzero(np.diff(first, prepend=-1))
-        lengths = np.diff(starts, append=first.size)
-        rng = np.random.default_rng([cfg.seed])
-        keep = np.ones(first.size, dtype=bool)
-        for start, length in zip(starts[lengths > cap].tolist(), lengths[lengths > cap].tolist()):
-            keep[start : start + length] = False
-            keep[start + rng.choice(length, size=cap, replace=False)] = True
-        first, second = first[keep], second[keep]
-    return _pair_set(ids, _positives(codes), (first, second))
+    return _pair_set(ids, _positives(codes), _all_negatives(codes))
 
 
 def make_pairs(clips: Sequence[ClipRecord], cfg: PairingConfig) -> PairSet:

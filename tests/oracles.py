@@ -298,25 +298,6 @@ def negative_pairs_oracle(clips):
     return out
 
 
-def capped_negatives_oracle(clips, cap, seed):
-    """The negatives that a cap of ``cap`` per anchor keeps: the pairs of
-    ``negative_pairs_oracle`` grouped by anchor (clip_a); in ascending anchor
-    order, a group of more than ``cap`` keeps the members at a seeded draw of
-    ``cap`` positions without replacement, in their order."""
-    rng = np.random.default_rng([seed])
-    by_anchor = {}
-    for a, b in negative_pairs_oracle(clips):
-        by_anchor.setdefault(a, []).append((a, b))
-    out = []
-    for anchor in sorted(by_anchor):
-        group = by_anchor[anchor]
-        if len(group) > cap:
-            picks = rng.choice(len(group), size=cap, replace=False)
-            group = [group[i] for i in sorted(picks)]
-        out.extend(group)
-    return out
-
-
 def frame_count_oracle(n_samples, win, hop):
     return (n_samples - win) // hop + 1
 

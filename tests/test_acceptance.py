@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from efp import cli, corpus, metrics, pairs
-from efp.features import FeatConfig, StftConfig, featurize_clip
-from efp.features import FeatureCache
+from efp.features import FeatureCache, featurize_clip
 from efp.index import EmbeddingIndex, build_index, knn_all, query
 from efp.metrics import RelevanceList, average_precision, precision_at_first_hit, precision_at_k
 from efp.net import (
@@ -249,11 +248,11 @@ def test_feature_vector_contract(capsys):
             clips.append(quantized)
         for i, samples in enumerate(clips):
             clip = PcmClip(samples=samples, sample_rate_hz=16000, clip_id=f"a/c#{i}")
-            values = featurize_clip(clip, StftConfig(), FeatConfig()).values
+            values = featurize_clip(clip).values
             assert values.shape == (13509,)
             assert np.all(np.isfinite(values))
         silent = PcmClip(samples=np.zeros(n), sample_rate_hz=16000, clip_id="a/s#0")
-        values = featurize_clip(silent, StftConfig(), FeatConfig()).values
+        values = featurize_clip(silent).values
         assert np.all(values == np.log(np.float64(1e-6)))
 
 

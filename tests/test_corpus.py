@@ -316,10 +316,10 @@ def test_a_level_near_a_rounding_tie_is_made_with_the_per_sample_sine(tmp_path, 
     t = np.arange(32000) / 16000
     expected = synth_clip_oracle(1015, 4, 88, notes, t)
     path = str(tmp_path / "clip.wav")
-    corpus._write_clips(1015, 4, 88, [path], notes, t, 16000)
+    corpus._write_clips(1015, 4, 88, [path], notes, t)
     np.testing.assert_array_equal(wavfile.read(path)[1], expected)
     monkeypatch.setattr(corpus, "_TIE_BAND", 0.0)
-    corpus._write_clips(1015, 4, 88, [path], notes, t, 16000)
+    corpus._write_clips(1015, 4, 88, [path], notes, t)
     data = wavfile.read(path)[1]
     assert np.flatnonzero(data != expected).tolist() == [31613]
     assert (data[31613], expected[31613]) == (-3137, -3136)

@@ -18,7 +18,6 @@ from efp.pairs import (
 
 from conftest import pair_triples
 from oracles import (
-    capped_negatives_oracle,
     negative_count_oracle,
     negative_pairs_oracle,
     positive_count_oracle,
@@ -162,36 +161,6 @@ def test_unbalanced_matches_brute_force_enumeration():
     assert n_neg == negative_count_oracle([3, 4, 4])
 
 
-def test_unbalanced_cap_limits_anchor_side():
-    clips = clips_for({"a": 4, "b": 4})
-    cfg = PairingConfig(scheme="unbalanced", seed=9, max_negatives_per_clip=1)
-    got = pair_triples(unbalanced_pairs(clips, cfg))
-    negatives = [p for p in got if p[2] == 0]
-    anchors = [a for a, _, _ in negatives]
-    assert len(anchors) == len(set(anchors))
-    assert all(a.startswith("a/") for a in anchors)  # canonical order puts "a" first
-    assert len(negatives) == 4
-    again = pair_triples(unbalanced_pairs(clips, cfg))
-    assert got == again
-    uncapped = pair_triples(unbalanced_pairs(clips, PairingConfig(scheme="unbalanced", seed=9)))
-    assert len(uncapped) - sum(label for _, _, label in uncapped) == 16
-
-
-def test_capped_negatives_match_the_per_anchor_oracle():
-    """The cap keeps exactly the pairs of a per-anchor draw over the plain
-    loop's negatives, after the positives."""
-    for sizes in ({"a": 4, "b": 4}, {"b": 4, "a": 7, "c": 3}, {"x": 9, "y": 1, "z": 5}):
-        clips = clips_for(sizes)
-        positives = pair_triples(positive_pairs(clips))
-        for seed in (0, 3, 17):
-            for cap in (1, 3):
-                cfg = PairingConfig(scheme="unbalanced", seed=seed, max_negatives_per_clip=cap)
-                got = pair_triples(unbalanced_pairs(clips, cfg))
-                assert got[: len(positives)] == positives
-                assert got[len(positives):] == \
-                    [(a, b, 0) for a, b in capped_negatives_oracle(clips, cap, seed)]
-
-
 def test_ids_are_the_clips_in_some_pair():
     # 3 positives and 8 singleton classes: a balanced draw of 3 negatives
     # from 52 misses most singletons' clips
@@ -199,9 +168,7 @@ def test_ids_are_the_clips_in_some_pair():
     every = sorted(c.clip_id for c in clips)
     missed = 0
     for seed in range(10):
-        for cfg in (PairingConfig(scheme="balanced", seed=seed),
-                    PairingConfig(seed=seed, max_negatives_per_clip=1),
-                    PairingConfig(seed=seed)):
+        for cfg in (PairingConfig(scheme="balanced", seed=seed), PairingConfig(seed=seed)):
             got = make_pairs(clips, cfg)
             used = sorted({c for a, b, _ in pair_triples(got) for c in (a, b)})
             assert got.ids == used
@@ -213,8 +180,6 @@ def test_ids_are_the_clips_in_some_pair():
 def test_pairing_config_validation():
     with pytest.raises(ValueError):
         PairingConfig(scheme="exotic")
-    with pytest.raises(ValueError):
-        PairingConfig(max_negatives_per_clip=0)
     ids = ["x", "y"]
     with pytest.raises(ValueError, match="itself"):
         PairSet(ids, np.array([0]), np.array([0]), np.array([1]))
