@@ -207,10 +207,13 @@ def _query_embedding(args, model: SiameseModel, idx: EmbeddingIndex) -> np.ndarr
         raise UsageError("provide exactly one of --wav or --clip-id")
     if args.clip_id is not None:
         return idx.vector(args.clip_id).astype(np.float64)
-    clips = list(wav.decode_wav(args.wav, DEFAULT_RATE_HZ))
-    if not clips:
+    # the first clip only; closing the stream copies out no other
+    clips = wav.decode_wav(args.wav, DEFAULT_RATE_HZ)
+    clip = next(clips, None)
+    clips.close()
+    if clip is None:
         raise DataError(f"{args.wav}: no full 2-second clip to query with")
-    feat = featurize_clip(clips[0])
+    feat = featurize_clip(clip)
     if feat.values.shape[0] != model.input_dim:
         raise DataError(
             f"features have {feat.values.shape[0]} dims but the "

@@ -265,10 +265,12 @@ def generate_synthetic(n_classes: int, clips_per_class: int, seed: int, out_dir)
     separable but makes naive distance-in-feature-space comparisons noisy.
 
     The clips are written by a pool of one thread per CPU this process may
-    run on, in runs of consecutive clips of one class. A run takes the sine
-    and cosine of its class's notes once, and each clip's chord is a sum of
-    that table's rows (``_write_clips``); the WAV bytes are those of a sine
-    taken at every sample. Each clip draws from its own generator, seeded
+    run on, in runs of consecutive clips of one class: a whole class while
+    every thread can have as many, and each class left over cut into about
+    one run per thread. A run takes the sine and cosine of its class's notes
+    once, and each clip's chord is a sum of that table's rows
+    (``_write_clips``); the WAV bytes are those of a sine taken at every
+    sample. Each clip draws from its own generator, seeded
     ``[seed, k, i]``, so the files do not depend on the number of threads.
     Every thread has ended when this returns or raises; after a failed clip
     the runs not yet started are dropped.
@@ -285,7 +287,10 @@ def generate_synthetic(n_classes: int, clips_per_class: int, seed: int, out_dir)
     slots = np.geomspace(300.0, 3000.0, n_classes * CHORD_NOTES)
     t = np.arange(DEFAULT_RATE_HZ * wav.CLIP_SECONDS) / DEFAULT_RATE_HZ
     workers = _usable_cpus()
-    run = -(-clips_per_class // workers)  # each class in about one run per thread
+    # the first classes go whole, one run each, so that each of their tables
+    # is made once, as many to every thread; the classes left over are cut
+    # into about one run per thread
+    whole = n_classes - n_classes % workers
     records: list[ClipRecord] = []
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -309,6 +314,7 @@ def generate_synthetic(n_classes: int, clips_per_class: int, seed: int, out_dir)
                         class_label=label,
                     )
                 )
+            run = clips_per_class if k < whole else -(-clips_per_class // workers)
             for first in range(0, clips_per_class, run):
                 jobs.append(pool.submit(_write_clips, seed, k, first, paths[first : first + run],
                                         slots[k::n_classes], t))

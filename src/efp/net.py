@@ -19,7 +19,8 @@ writes into, the optimizer's ``step(grad)`` takes one flat gradient, and
 copying, range-checking, quantizing, saving and loading the parameters are
 each one operation on one array. The training step allocates no
 parameter-sized array: ``train`` reuses one gradient for every batch, and
-Adam updates the vector in place, a block at a time. Its two moments are
+Adam updates the vector in place, a block at a time, its blocks dealt to a
+pool of one thread per usable CPU. Its two moments are
 computed by the same operations in the same order as the plain formulas with
 fresh temporaries, so they are bit-identical to them. Its parameter step
 takes Kingma & Ba's reordering (arXiv 1412.6980, section 2), with one
@@ -48,10 +49,19 @@ holds the sum of its columns' weights and steps with the learning rate times
 the group's size n_c, which is how the sum moves when each of its columns
 takes the same per-coordinate step. At the end it expands the groups back to
 the full width, each column moved by 1/n_c of its group's move, so the model
-file, ``forward_eval`` and ``embed`` see the full-width network. The
-expansion draws, expands and rounds one full-width vector in place, which
-the model then keeps, and gathers full-width columns a block of rows at a
-time.
+file, ``forward_eval`` and ``embed`` see the full-width network.
+
+The folded parameters, Adam's two moments and the gradient are one (4, n)
+block, one allocation, which ``train`` frees whole before it draws the
+full-width init again for the expansion; at this size glibc's allocator maps
+such a block on its own and returns it to the system when it is freed, so
+the init does not come on top of it. The expansion then makes one pass over
+layer 0's rows, a block of rows at a time: it sums each group's init
+columns, takes the group's move and adds 1/n_c of it to each column, in the
+init vector, which the model rounds in place and keeps. The fold, the
+expansion and Adam run their blocks on one pool of threads; each update is
+element-wise or row-wise, so the model's bytes do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from . import binio
+from .corpus import _usable_cpus
 from .errors import DataError, NumericError
 from .features import FeatureCache
 from .pairs import PairSet
@@ -393,12 +404,35 @@ def _row_blocks(n_rows: int, width: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
+def _pool_size(pool) -> int:
+    """The number of threads of a ``ThreadPoolExecutor``, or 1 for no pool."""
+    return 1 if pool is None else pool._max_workers
+
+
+def _on_pool(pool, fn, items: list, *args) -> None:
+    """Call ``fn(i, items[i::n], *args)`` for each thread i of ``pool``'s n,
+    on that pool, and wait for every call; without a pool, call ``fn(0,
+    items, *args)`` on the calling thread. Its callers update their arrays
+    element by element or row by row, so what they write does not depend on
+    n. ``fn`` runs only numpy and private functions: a profiler that wraps
+    the public ones keeps one span stack, which other threads must not
+    touch."""
+    n = _pool_size(pool)
+    if n == 1:
+        fn(0, items, *args)
+        return
+    jobs = [pool.submit(fn, i, items[i::n], *args) for i in range(n)]
+    for job in jobs:
+        job.result()
+
+
 class AdamOptimizer:
     """Adam (Kingma & Ba, arXiv 1412.6980) with bias-corrected moments ``m``
-    and ``v``, each one vector shaped like ``params.flat``. Each layer-0
-    weight steps at its input column's rate, ``column_rates`` (by default the
-    learning rate for every column), and every other parameter at the
-    learning rate.
+    and ``v``, the two rows of one (2, n) block for the n values of
+    ``params.flat``: ``moments``, which holds zeros, or a block of its own.
+    Each layer-0 weight steps at its input column's rate, ``column_rates``
+    (by default the learning rate for every column), and every other
+    parameter at the learning rate.
 
     The step is the paper's reordering (end of section 2),
     ``p -= lr * (sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``, which in
@@ -406,13 +440,17 @@ class AdamOptimizer:
     ``c1 = 1 - beta1**t`` and ``c2 = 1 - beta2**t``, and makes one division
     per coordinate instead of three. Each step scales the learning rate and
     the column rates by ``sqrt(c2) / c1`` once, into arrays kept for that,
-    which the blocks read."""
+    which the blocks read. The blocks are dealt to the threads of ``pool``,
+    each with a scratch pair of its own; without a pool the calling thread
+    updates them all."""
 
     def __init__(
         self,
         params: MlpParams,
         learning_rate: float,
         column_rates: np.ndarray | None = None,
+        moments: np.ndarray | None = None,
+        pool=None,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -422,8 +460,11 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros_like(params.flat)
-        self.v = np.zeros_like(params.flat)
+        if moments is None:
+            moments = np.zeros((2, params.flat.size))
+        elif moments.shape != (2, params.flat.size):
+            raise ValueError(f"moments of shape {moments.shape} for {params.flat.size} parameters")
+        self.m, self.v = moments
         out_dim, in_dim = params.weights[0].shape
         if column_rates is None:
             column_rates = np.full(in_dim, learning_rate)
@@ -439,7 +480,9 @@ class AdamOptimizer:
                          scaled_columns) for rows in _row_blocks(out_dim, in_dim)]
         self._blocks += [(block, (-1,), scaled_rate)
                          for block in _blocks(out_dim * in_dim, params.flat.size)]
-        self._scratch = np.empty((2, max(b.stop - b.start for b, _, _ in self._blocks)))
+        self._pool = pool
+        self._scratch = np.empty((_pool_size(pool), 2,
+                                  max(b.stop - b.start for b, _, _ in self._blocks)))
 
     def step(self, grad: np.ndarray) -> None:
         """Update the parameters in place from a gradient shaped like ``flat``."""
@@ -448,15 +491,20 @@ class AdamOptimizer:
         root_c2 = math.sqrt(1.0 - self.beta2 ** self.t)
         for given, scaled in self._rates:
             np.multiply(given, root_c2 / c1, out=scaled)
-        arrays = (self.params.flat, grad, self.m, self.v)
-        for block, shape, rate in self._blocks:
-            self._update(*(a[block].reshape(shape) for a in arrays), rate, self.eps * root_c2)
+        _on_pool(self._pool, self._update_blocks, self._blocks,
+                 (self.params.flat, grad, self.m, self.v), self.eps * root_c2)
 
-    def _update(self, p, g, m, v, rate, eps: float) -> None:
+    def _update_blocks(self, thread: int, blocks, arrays, eps: float) -> None:
+        """``_update`` each of ``blocks`` of ``arrays`` with the thread's scratch."""
+        for block, shape, rate in blocks:
+            self._update(*(a[block].reshape(shape) for a in arrays), rate, eps,
+                         self._scratch[thread])
+
+    def _update(self, p, g, m, v, rate, eps: float, scratch) -> None:
         """m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g^2, one operation at a
         time as the plain formulas make them; then p -= rate * m / (sqrt(v) +
         eps), with the rate and eps already scaled for this step."""
-        s1, s2 = (s[: p.size].reshape(p.shape) for s in self._scratch)
+        s1, s2 = (s[: p.size].reshape(p.shape) for s in scratch)
         m *= self.beta1
         m += np.multiply(1.0 - self.beta1, g, out=s1)
         v *= self.beta2
@@ -597,27 +645,56 @@ def _feature_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _quantize_f32(means), _quantize_f32(stds)
 
 
-def _group_sums(w: np.ndarray, group: np.ndarray, counts: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Write into column c of ``out`` the sum of ``w``'s columns in group c;
-    returns ``out``."""
-    # the columns sorted by group, each group's run summed, a block of rows
-    # at a time
-    order = np.argsort(group, kind="stable")
-    starts = np.cumsum(counts) - counts
-    for rows in _row_blocks(*w.shape):
-        out[rows] = np.add.reduceat(w[rows][:, order], starts, axis=1)
-    return out
+def _column_runs(group: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns sorted by group, and where each group's run of them starts."""
+    return np.argsort(group, kind="stable"), np.cumsum(counts) - counts
 
 
-def _fold(params: MlpParams, group: np.ndarray, counts: np.ndarray) -> MlpParams:
-    """The network that reads one column per group: layer 0's weight column c
-    is the sum of ``params``' columns in group c, the other layers are copied."""
-    dims = (counts.size,) + params.layer_dims[1:]
-    folded = MlpParams.from_flat(dims, np.zeros(_param_count(dims)))
-    _group_sums(params.weights[0], group, counts, folded.weights[0])
-    folded.flat[folded.weights[0].size :] = params.flat[params.weights[0].size :]
-    return folded
+def _group_sums(w: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Column c of the result is the sum of ``w``'s columns in group c, the
+    run of ``order`` from ``starts[c]`` on (``_column_runs``)."""
+    return np.add.reduceat(w[:, order], starts, axis=1)
+
+
+def _fold_into(full: MlpParams, group: np.ndarray, counts: np.ndarray, folded: MlpParams,
+               pool) -> None:
+    """Write into ``folded`` the network that reads one column per group:
+    layer 0's weight column c is the sum of ``full``'s columns in group c, the
+    other layers are copied. The rows of layer 0 are summed a block at a time
+    on ``pool``."""
+    order, starts = _column_runs(group, counts)
+    w0, w0g = full.weights[0], folded.weights[0]
+
+    def fold_rows(_, share):
+        for rows in share:
+            w0g[rows] = _group_sums(w0[rows], order, starts)
+
+    _on_pool(pool, fold_rows, list(_row_blocks(*w0.shape)))
+    folded.flat[w0g.size :] = full.flat[w0.size :]
+
+
+def _expand_into(folded: MlpParams, group: np.ndarray, counts: np.ndarray, first: np.ndarray,
+                 full: MlpParams, pool) -> None:
+    """Expand the groups of ``folded`` into ``full``, which holds the
+    full-width init they were folded from: a column of a group of n_c > 1 is
+    its init value plus 1/n_c of its group's move, the group's column minus
+    the sum of its init columns; a column alone in its group is its group's
+    column. Layer 0 is expanded in one pass over its rows, a block at a time
+    on ``pool``; the other layers are copied."""
+    order, starts = _column_runs(group, counts)
+    w0, w0g = full.weights[0], folded.weights[0]
+    alone = counts == 1
+    alone_columns, alone_groups = first[alone], np.flatnonzero(alone)
+
+    def expand_rows(_, share):
+        for rows in share:
+            move = np.subtract(w0g[rows], _group_sums(w0[rows], order, starts))
+            move /= counts
+            w0[rows] += move[:, group]
+            w0[rows, alone_columns] = w0g[rows, alone_groups]
+
+    _on_pool(pool, expand_rows, list(_row_blocks(*w0.shape)))
+    full.flat[w0.size :] = folded.flat[w0g.size :]
 
 
 def train(
@@ -649,9 +726,28 @@ def train(
     move, and a column alone in its group is its group's column, so a matrix
     with no repeated column, whose column rates all equal the learning rate,
     trains as a full-width network does, bit for bit.
+
+    The folded parameters, Adam's two moments and the gradient are the four
+    rows of one block, which is freed whole before the full-width init is
+    drawn again for the expansion; the best epoch's parameters are a vector
+    of their own, which the expansion reads. Adam's blocks, and the row blocks
+    of the fold and of the expansion, run on a pool of one thread per CPU this
+    process may run on. Each of those updates is element-wise or row-wise, so
+    the model's bytes do not depend on the number of threads. Every thread has
+    ended when this returns or raises.
     """
     if not train_pairs or not val_pairs:
         raise DataError("need non-empty train and validation pair lists")
+    # imported here, so that the stages that do not train or make a corpus
+    # do not load concurrent.futures and threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        return _train_on(pool, train_pairs, val_pairs, cache, train_cfg, loss_cfg, layer_dims)
+
+
+def _train_on(pool, train_pairs, val_pairs, cache, train_cfg, loss_cfg, layer_dims) -> TrainResult:
+    """``train``, with ``pool`` for Adam, the fold and the expansion."""
     if layer_dims is None:
         layer_dims = (cache.dim,) + tuple(DEFAULT_LAYER_DIMS[1:])
     # the train rows, then the val rows, standardized in place by the train
@@ -669,14 +765,24 @@ def train(
     tr_a, tr_b, tr_y = train_pairs.a, train_pairs.b, train_pairs.y.astype(np.float64)
     va_a, va_b, va_y = val_pairs.a, val_pairs.b, val_pairs.y.astype(np.float64)
 
-    params = _fold(init_params(train_cfg.seed, layer_dims), group, counts)
+    dims = (counts.size,) + tuple(layer_dims[1:])
+    size = _param_count(dims)
+    # the best epoch's parameters start as the folded init, which the full-width
+    # init is freed after
+    best_params = MlpParams.from_flat(dims, np.zeros(size))
+    _fold_into(init_params(train_cfg.seed, layer_dims), group, counts, best_params, pool)
+    # the parameters, Adam's two moments and the gradient: one block, which an
+    # allocator like glibc's maps on its own at this size and unmaps when freed
+    state = np.zeros((4, size))
+    state[0] = best_params.flat
+    params = MlpParams.from_flat(dims, state[0])
+    grads = MlpParams.from_flat(dims, state[3])
     # layer 0's weights in group c step at the learning rate times n_c
-    optimizer = AdamOptimizer(params, train_cfg.learning_rate, train_cfg.learning_rate * counts)
-    grads = None  # the first batch allocates the gradient, the others reuse it
+    optimizer = AdamOptimizer(params, train_cfg.learning_rate, train_cfg.learning_rate * counts,
+                              moments=state[1:3], pool=pool)
     n = len(train_pairs)
     history: list[tuple[int, float, float]] = []
     best_val = np.inf
-    best_params = params.copy()
     best_epoch = 0
     clock = time.perf_counter()
     for epoch in range(1, train_cfg.epochs + 1):
@@ -725,24 +831,13 @@ def train(
             best_val = val_loss
             np.copyto(best_params.flat, params.flat)
             best_epoch = epoch
-    # free the training state, then expand the best epoch's groups into the
-    # full-width init, drawn again: a column of a group of n_c > 1 is its init
-    # value plus 1/n_c of its group's move, a column alone in its group is its
-    # group's column
-    del params, optimizer, grads
+    # free the training state whole, then expand the best epoch's groups into
+    # the full-width init, drawn again; the model rounds that vector in place
+    # and keeps it
+    del params, grads, optimizer, state
     full = init_params(train_cfg.seed, layer_dims)
-    w0, w0g = full.weights[0], best_params.weights[0]
-    move = _group_sums(w0, group, counts, np.empty(w0g.shape))
-    np.subtract(w0g, move, out=move)
-    move /= counts
-    for rows in _row_blocks(*w0.shape):
-        w0[rows] += move[rows][:, group]
-    del move
-    alone = counts == 1
-    w0[:, first[alone]] = w0g[:, alone]
-    full.flat[w0.size :] = best_params.flat[w0g.size :]
-    # the model rounds the vector in place and keeps it
-    del best_params, w0g
+    _expand_into(best_params, group, counts, first, full, pool)
+    del best_params
     model = SiameseModel(
         params=full,
         margin=loss_cfg.margin,

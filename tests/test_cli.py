@@ -9,6 +9,7 @@ import logging
 import os
 import shutil
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -151,6 +152,42 @@ def test_query_by_wav_finds_the_stored_clip(pipeline, capsys):
     assert top[1] == record.clip_id
     # the query is featurized the way the cache was: bench/checks.py's bound
     assert float(top[3]) < 1e-4
+
+
+def test_query_by_multi_clip_wav_uses_only_its_first_clip(pipeline, tmp_path, monkeypatch,
+                                                          capsys):
+    """A WAV of three clips, a stored test clip first and two clips of the
+    other class after it, is queried by its first clip, and only that clip
+    is copied out of the decoded samples. A WAV with no full 2 s clip is a
+    data error."""
+    from efp import wav
+
+    test = corpus.Manifest.load(pipeline["split"]).subset("test")
+    record = test[0]
+    other = next(r for r in test if r.class_label != record.class_label)
+    parts = [wav.read_wav_mono(p, 16000) for p in (record.source_path, other.source_path,
+                                                   other.source_path)]
+    long_wav = tmp_path / "three_clips.wav"
+    write_wav(long_wav, np.concatenate(parts))
+    made = []
+
+    class CountedClip(wav.PcmClip):
+        def __post_init__(self):
+            made.append(self.clip_id)
+            super().__post_init__()
+
+    monkeypatch.setattr(wav, "PcmClip", CountedClip)
+    query = ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
+             "-k", "2", "--wav"]
+    capsys.readouterr()
+    assert cli.main(query + [str(long_wav)]) == 0
+    top = capsys.readouterr().out.splitlines()[1].split(",")
+    assert top[1] == record.clip_id and float(top[3]) < 1e-4
+    assert made == ["three_clips.wav#0"]
+    short_wav = tmp_path / "short.wav"
+    write_wav(short_wav, parts[0][:24000])
+    assert cli.main(query + [str(short_wav)]) == cli.EXIT_DATA
+    assert "no full 2-second clip" in capsys.readouterr().err
 
 
 def test_query_by_wav_calls_the_traced_functions(pipeline, monkeypatch):
@@ -408,9 +445,9 @@ def test_cache_faults_in_rows_a_stage_skips_exit_2(pipeline, tmp_path, capsys, s
 
 
 def test_import_leaves_scipy_out():
-    """Only reading WAV files needs scipy, and only synth's pool needs
-    concurrent.futures, so the stages that use neither do not pay for
-    importing them."""
+    """Only reading WAV files needs scipy, and only the pools of synth and
+    train need concurrent.futures, so the stages that use neither do not pay
+    for importing them."""
     import os
     import subprocess
 
@@ -420,6 +457,45 @@ def test_import_leaves_scipy_out():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_stages_without_a_pool_start_no_threads(pipeline, tmp_path):
+    """index, evaluate, featurize and query start no thread, and index and
+    evaluate do not import concurrent.futures (scipy, which featurize and
+    query load to read WAV files, imports it itself)."""
+    import subprocess
+
+    code = textwrap.dedent("""
+        import json, sys, threading
+        started = []
+        start = threading.Thread.start
+        def spy(self):
+            started.append(self.name)
+            start(self)
+        threading.Thread.start = spy
+        from efp import cli
+        out = []
+        for argv in json.loads(sys.argv[1]):
+            out.append([cli.main(argv), len(started), "concurrent.futures" in sys.modules])
+        print(json.dumps(out))
+    """)
+    record = corpus.Manifest.load(pipeline["split"]).subset("test")[0]
+    argvs = [
+        ["index", "--model", str(pipeline["model"]), "--cache", str(pipeline["cache"]),
+         "--manifest", str(pipeline["split"]), "--out", str(tmp_path / "i.bin")],
+        ["evaluate", "--index", str(pipeline["index"]), "--out-dir", str(tmp_path / "r")],
+        ["featurize", "--manifest", str(pipeline["split"]), "--out", str(tmp_path / "f.bin")],
+        ["query", "--model", str(pipeline["model"]), "--index", str(pipeline["index"]),
+         "--wav", record.source_path],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.splitlines()[-1])
+    assert [rc for rc, _, _ in results] == [0, 0, 0, 0]
+    assert [threads for _, threads, _ in results] == [0, 0, 0, 0]
+    assert [imported for _, _, imported in results[:2]] == [False, False]
 
 
 def test_unwritable_outputs_exit_2(pipeline, tmp_path, capsys):

@@ -1,5 +1,12 @@
+import concurrent.futures
 import logging
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +365,34 @@ def test_optimizer_step_allocates_nothing_at_full_size(rate):
     assert np.all(params.flat < 0.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_adam_on_a_pool_equals_the_oracle(workers):
+    """Dealt to a pool of 1, 2 or 3 threads, Adam's blocks step the
+    parameters and the moments bit for bit as the oracle does, with the
+    moments in a (2, n) block the caller gives."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(36)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for w0_shape in W0_SHAPES:
+            params = two_layer_params(rng, w0_shape)
+            size = params.flat.size
+            column_rates = rng.uniform(1e-4, 1e-1, size=w0_shape[1])
+            moments = np.zeros((2, size))
+            opt = AdamOptimizer(params, 0.01, column_rates, moments=moments, pool=pool)
+            assert np.shares_memory(opt.m, moments) and np.shares_memory(opt.v, moments)
+            lr = per_coordinate_rates(params, 0.01, column_rates)
+            want, ms, vs = [params.flat.copy()], [np.zeros(size)], [np.zeros(size)]
+            for t in range(1, 4):
+                grad = rng.standard_normal(size) * 10.0 ** rng.integers(-9, 3, size=size)
+                opt.step(grad)
+                adam_reordered_step_oracle(want, [grad], ms, vs, t, lr)
+                assert params.flat.tobytes() == want[0].tobytes()
+                assert moments.tobytes() == np.stack((ms[0], vs[0])).tobytes()
+    with pytest.raises(ValueError, match="moments"):
+        AdamOptimizer(params, 0.01, moments=np.zeros((2, size - 1)))
+
+
 def test_model_load_widens_the_parameters_once(tmp_path):
     import tracemalloc
 
@@ -616,6 +651,84 @@ def test_training_with_repeated_columns_holds_one_full_width_vector():
         tracemalloc.stop()
     assert result.model.input_dim == dims[0]
     assert peak < 8 * (5 * folded + net._param_count(dims))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_training_peak_rss_is_the_folded_state_or_the_expansion(tmp_path):
+    """At the default widths, with 3,363 distinct columns of 13,509 as on the
+    acceptance corpus, ``train`` raises the process's peak resident memory
+    (``VmHWM``, over the ``VmRSS`` just before the call) by at most 1.1 times
+    the larger of five folded vectors (parameters, best epoch, two moments,
+    gradient) and one folded plus one full-width vector (the expansion).
+    Freed training state kept in the allocator's heap under the full-width
+    init, or a matrix of group moves beside it, breaks the bound.
+
+    It runs in a fresh process, so that no other test's memory is in the
+    peak. Six clips keep the rows' own memory small against the bound's
+    tenth, and a first, tiny ``train`` pays what a process pays once (the
+    pool's threads and their allocator arenas, the BLAS's buffers)."""
+    dims = net.DEFAULT_LAYER_DIMS
+    cache = planted_duplicates_cache(seed=31, n_per_class=3, n_distinct=3363, dim=dims[0])
+    cache.save(tmp_path / "cache.bin")
+    code = textwrap.dedent("""
+        import sys
+        from efp import net
+        from efp.features import FeatureCache
+        from efp.pairs import PairSet
+
+        def status(key):
+            with open("/proc/self/status", encoding="ascii") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+        cache = FeatureCache.load(sys.argv[1])
+        ids = cache.clip_ids
+        pairs = PairSet.from_rows([(a, b, int(cache.label_of(a) == cache.label_of(b)))
+                                   for i, a in enumerate(ids) for b in ids[i + 1 :]])
+        cfg = net.TrainConfig(epochs=2, batch_size=16, seed=15)
+        narrow = FeatureCache(freq_bins=40, time_bins=1, clip_ids=ids, labels=cache.labels,
+                              matrix=cache.matrix[:, :40])
+        net.train(pairs, pairs, narrow, cfg, layer_dims=(40, 8, 6, 4))
+        before = status("VmRSS")
+        result = net.train(pairs, pairs, cache, cfg)
+        print(result.model.input_dim, 1024 * (status("VmHWM") - before))
+    """)
+    src = str(Path(net.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache.bin")],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    input_dim, growth = map(int, proc.stdout.split())
+    assert input_dim == dims[0]
+    folded = net._param_count((3363,) + dims[1:])
+    assert growth < 1.1 * 8 * max(5 * folded, folded + net._param_count(dims))
+
+
+def test_train_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    """``train`` folds, steps Adam and expands on a pool of one thread per
+    usable CPU, and writes the same model with 1 and 3; every thread has
+    ended when it returns. Layer 0 is 512 rows wide, so the fold, the
+    expansion and Adam each have several blocks to deal."""
+    pools = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    dims = (2000, 512, 16, 4)
+    cache = planted_duplicates_cache(seed=32, n_distinct=200, dim=dims[0])
+    pairs = cluster_pairs(cache)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=16)
+    models = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        threads_before = threading.active_count()
+        models.append(train(pairs, pairs, cache, cfg, layer_dims=dims).model.to_bytes())
+        assert threading.active_count() == threads_before
+    assert pools == [1, 3]
+    assert models[0] == models[1]
 
 
 def test_init_params_draws_what_uniform_draws():
